@@ -227,12 +227,14 @@ def brownian(steps, horizon, at_, value):
     i = int(np.argmin(np.abs(times - at_)))
     if abs(times[i] - at_) > 1e-9:
         raise DocumentError(f"--at {at_} is not one of the {steps} grid times")
-    done = g_intervene(grid, 1 << i, [value])
-    seen = g_condition(grid, 1 << i, [value])
+    with np.errstate(all="ignore"):  # non-finite pins are reported below
+        done = g_intervene(grid, 1 << i, [value])
+        seen = g_condition(grid, 1 << i, [value])
+    table = np.column_stack([times, done.mean, np.diag(done.cov), seen.mean, np.diag(seen.cov)])
+    if not np.isfinite(table).all():
+        raise DocumentError("the demo produced non-finite cells; check --value and --horizon")
     lines = ["time,mean_intervened,var_intervened,mean_conditioned,var_conditioned"]
-    for j in range(steps):
-        cells = (times[j], done.mean[j], done.cov[j, j], seen.mean[j], seen.cov[j, j])
-        lines.append(",".join(docs.fmt_float(float(c)) for c in cells))
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
     sys.stdout.write("\r\n".join(lines) + "\r\n")
 
 

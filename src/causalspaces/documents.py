@@ -5,17 +5,18 @@ DocumentError; value-level problems (weights that are not distributions,
 cyclic assignment graphs) surface as the library's own errors so callers can
 separate "could not read" from "read fine but invalid".
 
-Floats are rendered with 17 significant digits, which is enough for the
-parsed value to be bit-identical to the dumped one.
+Output is compact single-line JSON from json.dumps. Python writes floats as
+their shortest round-trip repr, so a parsed value is bit-identical to the
+dumped one. Non-finite numbers are refused both when writing and when
+reading, where json.loads would otherwise accept NaN and Infinity literals.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
+from itertools import chain
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -34,64 +35,38 @@ MASK_SUFFIX = ".mask.json"
 # ------------------------------------------------------------ JSON egress
 
 
-def fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise DocumentError(f"cannot serialize non-finite number {x!r}")
-    s = format(x, ".17g")
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
+def _plain(o):
+    """json.dumps hook: numpy arrays and scalars to their Python values."""
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    if isinstance(o, np.generic):
+        return o.item()
+    raise DocumentError(f"cannot serialize {type(o).__name__} to a document")
 
 
-def _emit(o, out: list[str], pad: str) -> None:
-    if isinstance(o, bool) or o is None:
-        out.append("null" if o is None else ("true" if o else "false"))
-    elif isinstance(o, (int, np.integer)):
-        out.append(str(int(o)))
-    elif isinstance(o, (float, np.floating)):
-        out.append(fmt_float(float(o)))
-    elif isinstance(o, str):
-        out.append(json.dumps(o))
-    elif isinstance(o, Mapping):
-        if not o:
-            out.append("{}")
-            return
-        out.append("{")
-        inner = pad + "  "
-        for i, (k, v) in enumerate(o.items()):
+def _check_keys(o) -> None:
+    """json.dumps would quietly stringify int keys; documents only have str keys."""
+    if isinstance(o, dict):
+        for k, v in o.items():
             if not isinstance(k, str):
                 raise DocumentError(f"object keys must be strings, got {k!r}")
-            out.append(("," if i else "") + "\n" + inner + json.dumps(k) + ": ")
-            _emit(v, out, inner)
-        out.append("\n" + pad + "}")
-    elif isinstance(o, (list, tuple, np.ndarray)):
-        items = o.tolist() if isinstance(o, np.ndarray) else list(o)
-        if not items:
-            out.append("[]")
-            return
-        nested = any(isinstance(v, (list, tuple, np.ndarray, Mapping)) for v in items)
-        if nested:
-            out.append("[")
-            inner = pad + "  "
-            for i, v in enumerate(items):
-                out.append(("," if i else "") + "\n" + inner)
-                _emit(v, out, inner)
-            out.append("\n" + pad + "]")
-        else:
-            out.append("[")
-            for i, v in enumerate(items):
-                if i:
-                    out.append(", ")
-                _emit(v, out, pad)
-            out.append("]")
-    else:
-        raise DocumentError(f"cannot serialize {type(o).__name__} to a document")
+            _check_keys(v)
+    elif isinstance(o, (list, tuple)):
+        for v in o:
+            if isinstance(v, (dict, list, tuple)):
+                _check_keys(v)
 
 
 def dump_json(obj) -> str:
-    out: list[str] = []
-    _emit(obj, out, "")
-    return "".join(out)
+    _check_keys(obj)
+    try:
+        return json.dumps(obj, allow_nan=False, default=_plain)
+    except ValueError as exc:
+        raise DocumentError(f"cannot serialize a non-finite number ({exc})") from exc
+
+
+def _non_finite(name: str):
+    raise DocumentError(f"non-finite number {name} is not allowed")
 
 
 def read_document(path: str | Path) -> dict:
@@ -101,9 +76,11 @@ def read_document(path: str | Path) -> dict:
     except OSError as exc:
         raise DocumentError(f"cannot read {p}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_non_finite)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except DocumentError as exc:
+        raise DocumentError(f"{p}: {exc}") from None
     if not isinstance(obj, dict):
         raise DocumentError(f"{p}: top level must be a JSON object")
     return obj
@@ -148,12 +125,17 @@ def _str_list(x, what: str) -> tuple[str, ...]:
     return tuple(x)
 
 
-def _num_list(x, what: str) -> list[float]:
-    if not isinstance(x, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in x
-    ):
+def _numbers_only(values) -> bool:
+    """One check per distinct leaf type; bool is an int subclass but not a number here."""
+    return all(
+        issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, values))
+    )
+
+
+def _num_list(x, what: str) -> np.ndarray:
+    if not isinstance(x, list) or not _numbers_only(x):
         raise DocumentError(f"{what} must be a list of numbers")
-    return [float(v) for v in x]
+    return np.array(x, dtype=np.float64)
 
 
 def _named_components(x, what: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
@@ -198,7 +180,7 @@ def document_to_space(doc: dict) -> CausalSpace:
     p_raw = _num_list(_need(doc, "p", "space document"), "p")
     if len(p_raw) != space.n_atoms:
         raise DocumentError(f"p has {len(p_raw)} weights, space has {space.n_atoms} atoms")
-    p = Dist(space, space.full, np.array(p_raw))
+    p = Dist(space, space.full, p_raw)
 
     shortcut = doc.get("mechanism")
     if shortcut is not None:
@@ -220,15 +202,18 @@ def document_to_space(doc: dict) -> CausalSpace:
             f"(missing {missing[:4]}, unknown {extra[:4]})"
         )
     kernels = []
-    for mask in subsets.all_masks(space.n):
-        rows = table[subset_key(mask)]
-        shape = (space.n_atoms_of(mask), space.n_atoms)
-        if not isinstance(rows, list) or len(rows) != shape[0]:
-            raise DocumentError(f"kernel {subset_key(mask)!r} needs {shape[0]} rows")
-        m = [_num_list(r, f"kernel {subset_key(mask)!r} row") for r in rows]
-        if any(len(r) != shape[1] for r in m):
-            raise DocumentError(f"kernel {subset_key(mask)!r} rows need {shape[1]} weights")
-        kernels.append(Kernel(space, mask, np.array(m)))
+    for key, mask in want.items():
+        rows = table[key]
+        n_rows = space.n_atoms_of(mask)
+        if not isinstance(rows, list) or len(rows) != n_rows:
+            raise DocumentError(f"kernel {key!r} needs {n_rows} rows")
+        if not all(isinstance(r, list) for r in rows) or not _numbers_only(
+            chain.from_iterable(rows)
+        ):
+            raise DocumentError(f"kernel {key!r} row must be a list of numbers")
+        if set(map(len, rows)) != {space.n_atoms}:
+            raise DocumentError(f"kernel {key!r} rows need {space.n_atoms} weights")
+        kernels.append(Kernel(space, mask, np.array(rows, dtype=np.float64)))
     return CausalSpace(space, p, CausalMechanism(space, tuple(kernels)))
 
 
@@ -261,7 +246,9 @@ def document_to_scm(doc: dict) -> ScmSpec:
         noises.append(
             NoiseTerm(
                 _str_list(_need(z, "outcomes", f"noises[{i}]"), f"noises[{i}].outcomes"),
-                tuple(_num_list(_need(z, "weights", f"noises[{i}]"), f"noises[{i}].weights")),
+                tuple(
+                    _num_list(_need(z, "weights", f"noises[{i}]"), f"noises[{i}].weights").tolist()
+                ),
             )
         )
     raw_parents = _need(doc, "parents", "model document")
@@ -307,7 +294,7 @@ def document_to_po(doc: dict) -> PoSpec:
     return PoSpec(
         _str_list(_need(doc, "treatments", "table document"), "treatments"),
         _str_list(_need(doc, "outcomes", "table document"), "outcomes"),
-        np.array(_num_list(_need(doc, "joint", "table document"), "joint")),
+        _num_list(_need(doc, "joint", "table document"), "joint"),
         **kwargs,
     )
 

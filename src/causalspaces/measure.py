@@ -231,15 +231,16 @@ def _normalise(weights: np.ndarray, what: str) -> np.ndarray:
 
     Accepted unchanged when the total is within NORM_TOL of 1 (keeps
     dump/parse round-trips bitwise stable), renormalised when within
-    RENORM_TOL, rejected beyond that. Negative weights beyond -NORM_TOL are
-    rejected; tiny negative float noise is clamped to zero.
+    RENORM_TOL, rejected beyond that. NaN weights and negative weights beyond
+    -NORM_TOL are rejected; tiny negative float noise is clamped to zero.
     """
     w = np.array(weights, dtype=np.float64)
-    if w.min(initial=0.0) < -NORM_TOL:
-        raise DomainError(f"{what} has negative weight {w.min()}")
+    # written so that NaN fails the window checks
+    if not w.min(initial=0.0) >= -NORM_TOL:
+        raise DomainError(f"{what} has negative or NaN weight {w.min()}")
     np.clip(w, 0.0, None, out=w)
     total = float(w.sum())
-    if abs(total - 1.0) > RENORM_TOL:
+    if not abs(total - 1.0) <= RENORM_TOL:
         raise DomainError(f"{what} weights sum to {total!r}, outside the 1e-6 window")
     if abs(total - 1.0) > NORM_TOL:
         w /= total
@@ -469,12 +470,13 @@ class Kernel:
         want = (self.space.n_atoms_of(self.source), self.space.n_atoms)
         if m.shape != want:
             raise DomainError(f"kernel matrix shape {m.shape}, expected {want}")
-        if m.min(initial=0.0) < -NORM_TOL:
-            raise DomainError(f"kernel row has negative weight {m.min()}")
+        # written so that NaN fails the window checks
+        if not m.min(initial=0.0) >= -NORM_TOL:
+            raise DomainError(f"kernel row has negative or NaN weight {m.min()}")
         np.clip(m, 0.0, None, out=m)
         sums = m.sum(axis=1)
         off = np.abs(sums - 1.0)
-        if off.max(initial=0.0) > RENORM_TOL:
+        if not off.max(initial=0.0) <= RENORM_TOL:
             bad = int(np.argmax(off))
             raise DomainError(
                 f"kernel row {bad} sums to {sums[bad]!r}, outside the 1e-6 window"

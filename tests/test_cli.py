@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +64,28 @@ def test_parse_problems_exit_2(runner, tmp_path):
     assert result.exit_code == 2
     missing = runner.invoke(main, ["validate", str(tmp_path / "nowhere.space.json")])
     assert missing.exit_code == 2
+
+
+def test_non_finite_literals_exit_2(runner, tmp_path):
+    path = tmp_path / "nan.space.json"
+    path.write_text(
+        '{"components":[{"name":"a","outcomes":["0","1"]}],"p":[NaN,0.5],'
+        '"mechanism":"conditionals"}'
+    )
+    result = runner.invoke(main, ["validate", str(path)])
+    assert result.exit_code == 2
+    assert "non-finite number NaN" in result.output
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-m", "causalspaces", "--help"], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert "Usage: causalspaces" in result.stdout
 
 
 def test_do_matches_the_factorization_oracle(runner, xor_space_path):
@@ -187,6 +213,10 @@ def test_demo_brownian_csv(runner):
         assert float(row["var_conditioned"]) == pytest.approx(want_c, abs=1e-12)
     off_grid = runner.invoke(main, ["demo", "brownian", "--at", "0.123"])
     assert off_grid.exit_code == 2
+    for value in ("nan", "inf"):
+        pinned = runner.invoke(main, ["demo", "brownian", "--value", value])
+        assert pinned.exit_code == 2, pinned.output
+        assert "non-finite" in pinned.output
 
 
 def test_demo_altitude_json(runner):

@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from causalspaces.compilers import PoSpec, compile_scm
+from causalspaces.compilers import (
+    NoiseTerm,
+    PoSpec,
+    ScmVariable,
+    compile_scm,
+    scm_from_functions,
+)
 from causalspaces.documents import (
     document_to_po,
     document_to_scm,
@@ -17,6 +23,7 @@ from causalspaces.documents import (
     parse_subset,
     parse_weights,
     po_to_document,
+    read_document,
     scm_to_document,
     space_to_document,
     subset_key,
@@ -42,12 +49,55 @@ def test_dump_json_structures():
     text = dump_json({"a": [1, 2.5], "b": {"c": True, "d": None}, "e": np.arange(3)})
     assert json.loads(text) == {"a": [1, 2.5], "b": {"c": True, "d": None}, "e": [0, 1, 2]}
     assert dump_json([]) == "[]" and dump_json({}) == "{}"
+    # compact single line, shortest round-trip floats, numpy scalars as plain values
+    text = dump_json({"p": np.array([0.1, 1.0 / 3.0]), "n": np.int64(3), "ok": np.bool_(True)})
+    assert text == '{"p": [0.1, 0.3333333333333333], "n": 3, "ok": true}'
     with pytest.raises(DocumentError, match="non-finite"):
         dump_json(float("nan"))
+    with pytest.raises(DocumentError, match="non-finite"):
+        dump_json({"kernels": {"": np.array([[np.inf, 0.0]])}})
     with pytest.raises(DocumentError, match="keys"):
         dump_json({1: "x"})
+    with pytest.raises(DocumentError, match="keys"):
+        dump_json({"components": [{"name": "a", 2: "b"}]})
     with pytest.raises(DocumentError, match="serialize"):
         dump_json(object())
+
+
+def test_read_document_rejects_non_finite_literals(tmp_path):
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        path = tmp_path / "bad.space.json"
+        path.write_text('{"p": [%s, 0.5]}' % literal)
+        with pytest.raises(DocumentError, match=f"non-finite number {literal}"):
+            read_document(path)
+
+
+def _chain(n: int):
+    """Binary chain: X0 a coin, each later variable copies its parent or flips."""
+    variables = [ScmVariable(f"X{j}", ("0", "1")) for j in range(n)]
+    noises = [NoiseTerm(("0", "1"), (1.0 / 3.0, 2.0 / 3.0))]
+    noises += [NoiseTerm(("keep", "flip"), (1.0 - 0.07 * j, 0.07 * j)) for j in range(1, n)]
+    flip = {"0": "1", "1": "0"}
+    return scm_from_functions(
+        variables,
+        noises,
+        [()] + [(j - 1,) for j in range(1, n)],
+        [lambda pa, z: z]
+        + [
+            (lambda pa, z, parent=f"X{j - 1}": pa[parent] if z == "keep" else flip[pa[parent]])
+            for j in range(1, n)
+        ],
+    )
+
+
+def test_larger_space_document_round_trip_is_byte_identical():
+    cs = compile_scm(_chain(6))
+    text = dump_json(space_to_document(cs))
+    back = document_to_space(json.loads(text))
+    assert dump_json(space_to_document(back)) == text
+    assert back.observational.weights.tobytes() == cs.observational.weights.tobytes()
+    for mask in range(1 << 6):
+        assert back.mechanism[mask].matrix.tobytes() == cs.mechanism[mask].matrix.tobytes()
 
 
 def test_space_document_round_trip_is_bitwise():
@@ -70,6 +120,9 @@ def test_space_document_schema_rejections():
         (lambda d: d.update(mechanism="conditionals"), "not both"),
         (lambda d: d["kernels"]["1"].pop(), "rows"),
         (lambda d: d["kernels"]["1"][0].pop(), "weights"),
+        (lambda d: d["kernels"]["0,1"][2].append(0.0), "kernel '0,1' rows need 4 weights"),
+        (lambda d: d["kernels"]["0,1"].pop(), "kernel '0,1' needs 4 rows"),
+        (lambda d: d["kernels"]["0"].__setitem__(1, "row"), "row must be a list of numbers"),
         (lambda d: d["components"][0].pop("name"), "missing key"),
     ]:
         doc = reparse(good)
@@ -80,6 +133,19 @@ def test_space_document_schema_rejections():
         doc = reparse(good)
         del doc["kernels"]
         doc["mechanism"] = "magic"
+        document_to_space(doc)
+
+
+@pytest.mark.parametrize("bad", [True, "0.5", None, [0.5]], ids=["bool", "str", "null", "nested"])
+def test_space_document_rejects_non_numbers(bad):
+    good = reparse(space_to_document(compile_scm(xor_scm())))
+    doc = reparse(good)
+    doc["kernels"]["1"][0][0] = bad
+    with pytest.raises(DocumentError, match=r"kernel '1' row must be a list of numbers"):
+        document_to_space(doc)
+    doc = reparse(good)
+    doc["p"][0] = bad
+    with pytest.raises(DocumentError, match="p must be a list of numbers"):
         document_to_space(doc)
 
 

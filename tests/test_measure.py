@@ -96,6 +96,12 @@ def test_weights_negative():
     assert d.weights[2] == 0.0
 
 
+def test_weights_nan_rejected():
+    sp = grid22()
+    with pytest.raises(DomainError, match="NaN"):
+        M.Dist(sp, 0b01, [np.nan, 0.5])
+
+
 def test_normalisation_idempotent_bitwise():
     sp = grid22()
     w = np.array([0.5, 0.3, 0.1, 0.1])
@@ -130,6 +136,12 @@ def test_kernel_row_window():
         M.Kernel(sp, 0b01, [[0.4, 0.4, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
     with pytest.raises(DomainError):
         M.Kernel(sp, 0b01, np.ones((3, 4)) * 0.25)
+
+
+def test_kernel_nan_rejected():
+    sp = grid22()
+    with pytest.raises(DomainError, match="NaN"):
+        M.Kernel(sp, 0, [[np.nan, 1.0, 0.0, 0.0]])
 
 
 # ------------------------------------------------------------- indexing
