@@ -227,7 +227,9 @@ def brownian(steps, horizon, at_, value):
     i = int(np.argmin(np.abs(times - at_)))
     if abs(times[i] - at_) > 1e-9:
         raise DocumentError(f"--at {at_} is not one of the {steps} grid times")
-    with np.errstate(all="ignore"):  # non-finite pins are reported below
+    if not np.isfinite(value):
+        raise DocumentError(f"--value {value} is non-finite")
+    with np.errstate(all="ignore"):  # overflow raises DomainError or fails the table check
         done = g_intervene(grid, 1 << i, [value])
         seen = g_condition(grid, 1 << i, [value])
     table = np.column_stack([times, done.mean, np.diag(done.cov), seen.mean, np.diag(seen.cov)])

@@ -11,15 +11,17 @@ inputs (for example loaded documents) can be inspected and reported:
     requirement: the kernel cannot move the coordinates it is given).
 
 Intervening on a subset U replaces mass on the U-coordinates by a supplied
-measure and re-routes every kernel through the joint kernel of the union,
-either with a caller-supplied internal mechanism on the U-components or,
-for hard interventions, with the closed-form product rule.
+measure and re-routes every kernel through the joint kernel of the union.
+Generic and hard interventions share one rewrite loop and differ only in the
+weights it mixes the union rows with; a kernel whose subset contains U is
+kept as the same object.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -228,6 +230,34 @@ def _check_spec(cs: CausalSpace, spec: InterventionSpec) -> None:
         )
 
 
+def _rewrite(
+    cs: CausalSpace, u: int, q: Dist, mix: Callable[[int, int], np.ndarray]
+) -> CausalSpace:
+    """The one intervention loop: q bound through K_U, every kernel re-routed.
+
+    For S containing U the kernel is kept as is (Remark D.1(a)). Otherwise,
+    with fresh = U minus S, mix(S&U, fresh) weighs the union rows per
+    (S&U atom, fresh atom):
+
+        k_new(w, A) = sum_f mix(w on S&U, f) k(S|U)((w, f), A)
+    """
+    space = cs.space
+    mix = functools.cache(mix)  # one call per S&U; fresh is U minus it
+    kernels: list[Kernel] = []
+    for s in subsets.all_masks(space.n):
+        fresh = u & ~s
+        if not fresh:
+            kernels.append(cs.mechanism[s])
+            continue
+        union = s | u
+        e_s = space.atom_embedding(s, union)
+        # union kernel rows arranged as (S atom, fresh atom, column)
+        gathered = cs.mechanism[union].matrix[e_s[:, None] + space.atom_embedding(fresh, union)]
+        weights = mix(s & u, fresh)[space.atom_projection(s, s & u)]
+        kernels.append(Kernel(space, s, np.einsum("sf,sfo->so", weights, gathered)))
+    return CausalSpace(space, bind(q, cs.mechanism[u]), CausalMechanism(space, tuple(kernels)))
+
+
 def intervene(cs: CausalSpace, spec: InterventionSpec) -> CausalSpace:
     """Generic intervention: new measure on the subset, kernels re-routed.
 
@@ -237,8 +267,10 @@ def intervene(cs: CausalSpace, spec: InterventionSpec) -> CausalSpace:
 
         k_new(w, A) = sum_{u'} internal(w on S&U, u') k(S|U)((w off U, u'), A)
 
-    The new observational measure is measure bound through the U-kernel.
-    Intervening on the empty subset returns an identical space.
+    Only columns u' that agree with w on S&U enter the sum; off-block mass up
+    to NORM_TOL from a tolerance-valid internal mechanism is dropped. The new
+    observational measure is measure bound through the U-kernel. Intervening
+    on the empty subset returns an identical space.
     """
     _check_spec(cs, spec)
     u = spec.subset
@@ -248,26 +280,13 @@ def intervene(cs: CausalSpace, spec: InterventionSpec) -> CausalSpace:
         return intervene_hard(cs, u, spec.measure)
     space = cs.space
     internal = spec.internal
-    n_u = space.n_atoms_of(u)
-    p_do = bind(spec.measure, cs.mechanism[u])
-    kernels: list[Kernel] = []
-    for s in subsets.all_masks(space.n):
-        inside = s & u
-        outside = s & ~u
-        union = s | u
-        joint = cs.mechanism[union].matrix
-        e_out = space.atom_embedding(outside, union)
-        e_u = space.atom_embedding(u, union)
-        # union kernel rows arranged as (outside atom, u atom, column)
-        gathered = joint[e_out[:, None] + e_u[None, :]]
-        local = subsets.local_mask(inside, u)
-        mix = internal.mechanism[local].matrix  # (inside atoms, u atoms)
-        new = np.einsum("vu,wuo->wvo", mix, gathered)
-        rows = np.empty((space.n_atoms_of(s), space.n_atoms))
-        idx = space.atom_embedding(outside, s)[:, None] + space.atom_embedding(inside, s)[None, :]
-        rows[idx.reshape(-1)] = new.reshape(-1, space.n_atoms)
-        kernels.append(Kernel(space, s, rows))
-    return CausalSpace(space, p_do, CausalMechanism(space, tuple(kernels)))
+
+    def mix(inside: int, fresh: int) -> np.ndarray:
+        block = internal.mechanism[subsets.local_mask(inside, u)].matrix
+        cols = space.atom_embedding(inside, u)[:, None] + space.atom_embedding(fresh, u)
+        return np.take_along_axis(block, cols, axis=1)
+
+    return _rewrite(cs, u, spec.measure, mix)
 
 
 def intervene_hard(cs: CausalSpace, u: int, q: Dist) -> CausalSpace:
@@ -279,8 +298,8 @@ def intervene_hard(cs: CausalSpace, u: int, q: Dist) -> CausalSpace:
 
         k_new(w, A) = sum_{u' on U\\S} q_marg(u') k(S|U)((w, u'), A)
 
-    Agrees with the generic path run through the trivial internal mechanism;
-    both are exercised against each other in the test suite.
+    This is the generic rewrite through the trivial internal mechanism; the
+    test suite checks the two against each other.
     """
     space = cs.space
     space._check_mask(u)
@@ -288,19 +307,9 @@ def intervene_hard(cs: CausalSpace, u: int, q: Dist) -> CausalSpace:
         raise DomainError("intervention measure must live on the intervened subset")
     if u == 0:
         return CausalSpace(cs.space, cs.observational, cs.mechanism)
-    p_do = bind(q, cs.mechanism[u])
-    kernels: list[Kernel] = []
-    for s in subsets.all_masks(space.n):
-        union = s | u
-        fresh = u & ~s
-        joint = cs.mechanism[union].matrix
-        e_s = space.atom_embedding(s, union)
-        if fresh:
-            q_marg = marginal(q, fresh).weights
-            e_fresh = space.atom_embedding(fresh, union)
-            gathered = joint[e_s[:, None] + e_fresh[None, :]]
-            rows = np.einsum("u,suo->so", q_marg, gathered)
-        else:
-            rows = joint[e_s]
-        kernels.append(Kernel(space, s, rows))
-    return CausalSpace(space, p_do, CausalMechanism(space, tuple(kernels)))
+
+    def mix(inside: int, fresh: int) -> np.ndarray:
+        w = marginal(q, fresh).weights
+        return np.broadcast_to(w, (space.n_atoms_of(inside), len(w)))
+
+    return _rewrite(cs, u, q, mix)

@@ -11,6 +11,11 @@ the definitions:
   * dormant: neither, meaning the disagreement only surfaces jointly with
     other coordinates and can be exposed by a suitable hard intervention.
 
+Every "no effect" question (classify_effect, classify_effect_on_subset,
+has_no_effect_given, activate_dormant) runs through one scan,
+_first_disagreement, which returns the first (subset, row) where a kernel
+and the kernel forgetting U's part disagree; activate_dormant pins that row.
+
 All scans quantify over every atom regardless of observational mass: a
 kernel disagreement supported only on null rows still blocks "no effect".
 Only source checks and adjustment skip null atoms, where a conditional
@@ -43,29 +48,44 @@ def _check_event(cs: CausalSpace, a: Event) -> np.ndarray:
     return a.indicator()
 
 
+def _first_disagreement(cs: CausalSpace, pairs, cols: np.ndarray, tol: float):
+    """First (big, row) where K_big and K_small differ on cols by more than tol.
+
+    pairs yields (big, small) masks with small inside big, in scan order;
+    cols is one event's indicator or a matrix of indicators as columns.
+    Returns None when every pair agrees. The row is located only on a hit.
+    """
+    space = cs.space
+    for big, small in pairs:
+        vb = cs.mechanism[big].matrix @ cols
+        vs = cs.mechanism[small].matrix @ cols
+        diff = np.abs(vb - vs[space.atom_projection(big, small)])
+        if diff.max() > tol:
+            return big, int(np.unravel_index(np.argmax(diff), diff.shape)[0])
+    return None
+
+
+def _classify(cs: CausalSpace, u: int, cols: np.ndarray, tol: float):
+    """Effect class of U on the events in cols, with the first disagreement.
+
+    The scan compares K_S with K_{S minus U} for every S meeting U, in
+    ascending mask order; if it finds a disagreement, the U-kernel against
+    the observational probabilities separates ACTIVE from DORMANT.
+    """
+    pairs = ((s, s & ~u) for s in subsets.all_masks(cs.space.n) if s & u)
+    hit = _first_disagreement(cs, pairs, cols, tol)
+    if hit is None:
+        return EffectClass.NONE, None
+    vu = cs.mechanism[u].matrix @ cols
+    if np.abs(vu - cs.observational.weights @ cols).max() > tol:
+        return EffectClass.ACTIVE, hit
+    return EffectClass.DORMANT, hit
+
+
 def classify_effect(cs: CausalSpace, u: int, a: Event, tol: float = NORM_TOL) -> EffectClass:
     """Classify the effect of the U-components on one event."""
     cs.space._check_mask(u)
-    ind = _check_event(cs, a)
-    space = cs.space
-    none = True
-    for s in subsets.all_masks(space.n):
-        kept = s & ~u
-        if kept == s:
-            continue
-        vs = cs.mechanism[s].matrix @ ind
-        vk = cs.mechanism[kept].matrix @ ind
-        proj = space.atom_projection(s, kept)
-        if np.abs(vs - vk[proj]).max() > tol:
-            none = False
-            break
-    if none:
-        return EffectClass.NONE
-    vu = cs.mechanism[u].matrix @ ind
-    pa = float(cs.observational.weights @ ind)
-    if np.abs(vu - pa).max() > tol:
-        return EffectClass.ACTIVE
-    return EffectClass.DORMANT
+    return _classify(cs, u, _check_event(cs, a), tol)[0]
 
 
 def classify_effect_on_subset(
@@ -77,28 +97,9 @@ def classify_effect_on_subset(
     defining comparisons are additive in the event, so scanning atom events
     alone is exhaustive.
     """
-    space = cs.space
-    space._check_mask(u)
-    space._check_mask(v)
-    fibers = space.fiber_indicators(v)
-    none = True
-    for s in subsets.all_masks(space.n):
-        kept = s & ~u
-        if kept == s:
-            continue
-        vs = cs.mechanism[s].matrix @ fibers.T
-        vk = cs.mechanism[kept].matrix @ fibers.T
-        proj = space.atom_projection(s, kept)
-        if np.abs(vs - vk[proj]).max() > tol:
-            none = False
-            break
-    if none:
-        return EffectClass.NONE
-    vu = cs.mechanism[u].matrix @ fibers.T
-    pv = fibers @ cs.observational.weights
-    if np.abs(vu - pv[None, :]).max() > tol:
-        return EffectClass.ACTIVE
-    return EffectClass.DORMANT
+    cs.space._check_mask(u)
+    cs.space._check_mask(v)
+    return _classify(cs, u, cs.space.fiber_indicators(v).T, tol)[0]
 
 
 def classify_effect_on_sigma(
@@ -131,17 +132,10 @@ def has_no_effect_given(
     space._check_mask(u)
     space._check_mask(v)
     ind = _check_event(cs, a)
-    for s in subsets.all_masks(space.n):
-        big = s | v
-        small = big & ~(u & ~v)
-        if small == big:
-            continue
-        vb = cs.mechanism[big].matrix @ ind
-        vs = cs.mechanism[small].matrix @ ind
-        proj = space.atom_projection(big, small)
-        if np.abs(vb - vs[proj]).max() > tol:
-            return False
-    return True
+    # S | V runs over the supersets of V, so scanning those alone is exhaustive
+    w = u & ~v
+    pairs = ((s, s & ~w) for s in subsets.all_masks(space.n) if s & v == v and s & w)
+    return _first_disagreement(cs, pairs, ind, tol) is None
 
 
 def is_trivial_kernel(cs: CausalSpace, u: int, tol: float = NORM_TOL) -> bool:
@@ -227,33 +221,20 @@ def activate_dormant(
     then hard-intervenes the non-U part to the witness atom's coordinates.
     The activated subset is S's intersection with U.
     """
-    if classify_effect(cs, u, a, tol) is not EffectClass.DORMANT:
-        raise ContractError("activation needs a dormant classification")
     space = cs.space
-    ind = _check_event(cs, a)
-    for s in subsets.all_masks(space.n):
-        kept = s & ~u
-        if kept == s:
-            continue
-        vs = cs.mechanism[s].matrix @ ind
-        vk = cs.mechanism[kept].matrix @ ind
-        proj = space.atom_projection(s, kept)
-        diff = np.abs(vs - vk[proj])
-        row = int(np.argmax(diff))
-        if diff[row] <= tol:
-            continue
-        omega = Atom(space.full, int(space.atom_embedding(s, space.full)[row]))
-        target = Atom(kept, int(proj[row]))
-        after = intervene_hard(cs, kept, dirac(space, target))
-        activated = s & u
-        if classify_effect(after, activated, a, tol) is not EffectClass.ACTIVE:
-            raise InternalInconsistencyError(
-                "witness intervention failed to activate the effect"
-            )
-        return ActivationWitness(intervened=kept, atom=omega, activated=activated, after=after)
-    raise InternalInconsistencyError(
-        "no kernel disagreement found although the effect was dormant"
-    )
+    space._check_mask(u)
+    effect, hit = _classify(cs, u, _check_event(cs, a), tol)
+    if effect is not EffectClass.DORMANT:
+        raise ContractError("activation needs a dormant classification")
+    s, row = hit
+    kept = s & ~u
+    omega = Atom(space.full, int(space.atom_embedding(s, space.full)[row]))
+    target = Atom(kept, int(space.atom_projection(s, kept)[row]))
+    after = intervene_hard(cs, kept, dirac(space, target))
+    activated = s & u
+    if classify_effect(after, activated, a, tol) is not EffectClass.ACTIVE:
+        raise InternalInconsistencyError("witness intervention failed to activate the effect")
+    return ActivationWitness(intervened=kept, atom=omega, activated=activated, after=after)
 
 
 @dataclass(frozen=True)

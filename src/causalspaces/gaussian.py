@@ -31,6 +31,8 @@ def _clean_cov(cov: np.ndarray, what: str) -> np.ndarray:
     c = np.array(cov, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DomainError(f"{what} covariance must be square, got {c.shape}")
+    if not np.isfinite(c).all():
+        raise DomainError(f"{what} covariance has a non-finite entry")
     if c.size and np.abs(c - c.T).max() > SYM_TOL:
         raise DomainError(f"{what} covariance is not symmetric")
     c = (c + c.T) / 2.0
@@ -55,6 +57,8 @@ class Gaussian:
 
     def __post_init__(self):
         m = np.array(self.mean, dtype=np.float64).reshape(-1)
+        if not np.isfinite(m).all():
+            raise DomainError("measure mean has a non-finite entry")
         c = _clean_cov(self.cov, "measure")
         if c.shape != (m.shape[0], m.shape[0]):
             raise DomainError(f"mean length {m.shape[0]} vs cov {c.shape}")
@@ -93,6 +97,8 @@ class GaussianKernel:
     def __post_init__(self):
         a = np.array(self.coeff, dtype=np.float64)
         b = np.array(self.offset, dtype=np.float64).reshape(-1)
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise DomainError("kernel coeff or offset has a non-finite entry")
         s = _clean_cov(self.noise_cov, "kernel noise")
         n = b.shape[0]
         idx = subsets.indices_of(self.source)

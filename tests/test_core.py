@@ -274,6 +274,18 @@ def test_closed_form_special_cases():
     np.testing.assert_allclose(hard.mechanism[s].matrix, expect, atol=1e-12)
 
 
+@pytest.mark.parametrize("path", ["hard", "generic"])
+def test_kernels_over_supersets_of_u_are_shared(path):
+    cs = random_space(5, sizes=(2, 3, 2))
+    u = 0b101
+    q, internal = random_internal(cs, u, 13)
+    spec = C.InterventionSpec(u, q, C.HARD if path == "hard" else internal)
+    done = C.intervene(cs, spec)
+    for s in subsets.all_masks(cs.space.n):
+        # Remark D.1(a): a kernel handed every intervened coordinate is unchanged
+        assert (done.mechanism[s] is cs.mechanism[s]) == subsets.is_subset(u, s)
+
+
 # ------------------------------------------------------------- spec checks
 
 

@@ -27,6 +27,7 @@ from causalspaces.harness import (
     ice_cream_shark,
     mutual_information,
     random_causal_space,
+    random_scm,
     reversibility_counterexample,
 )
 from causalspaces.measure import Dist, Event, bind, dirac, rectangle
@@ -126,11 +127,43 @@ def test_parity_effect_is_dormant_until_activated():
     assert classify_effect(w.after, u, a) is EffectClass.ACTIVE
 
 
+def test_activation_witness_is_a_disagreeing_row():
+    """X1 = 0 leaves Y a fair coin; X1 = 1 copies X0 and X1 = 2 negates it.
+
+    X0's effect on Y is dormant, and only rows with X1 != 0 expose it, so
+    the witness must not pin X1 to 0 (row 0 of the first disagreeing kernel).
+    """
+    def y(pa, n):
+        if pa["X1"] == "0":
+            return n
+        return pa["X0"] if pa["X1"] == "1" else ("1" if pa["X0"] == "0" else "0")
+
+    cs = compile_scm(
+        scm_from_functions(
+            [ScmVariable("X0", B), ScmVariable("X1", ("0", "1", "2")), ScmVariable("Y", B)],
+            [COIN, NoiseTerm(("0", "1", "2"), (1 / 3, 1 / 3, 1 / 3)), COIN],
+            [(), (), (0, 1)],
+            [lambda pa, n: n, lambda pa, n: n, y],
+        )
+    )
+    u, a = cs.space.mask_of(["X0"]), rectangle(cs.space, {"Y": ["1"]})
+    assert classify_effect(cs, u, a) is EffectClass.DORMANT
+    w = activate_dormant(cs, u, a)
+    assert w.intervened == cs.space.mask_of(["X1"])
+    assert cs.space.labels_of(w.atom)["X1"] != "0"
+    assert classify_effect(w.after, u, a) is EffectClass.ACTIVE
+
+
 def test_activation_requires_dormant_input():
     cs = chain()
-    a = rectangle(cs.space, {"Z": ["1"]})
-    with pytest.raises(ContractError):
-        activate_dormant(cs, cs.space.mask_of(["X"]), a)
+    z1 = rectangle(cs.space, {"Z": ["1"]})
+    x1 = rectangle(cs.space, {"X": ["1"]})
+    # X moves Z (active); Z does not move X (no effect)
+    for u, a, verdict in ((["X"], z1, EffectClass.ACTIVE), (["Z"], x1, EffectClass.NONE)):
+        u = cs.space.mask_of(u)
+        assert classify_effect(cs, u, a) is verdict
+        with pytest.raises(ContractError):
+            activate_dormant(cs, u, a)
 
 
 def test_correlation_without_causation():
@@ -188,6 +221,39 @@ def test_chain_effect_vanishes_given_the_mediator():
     assert has_no_effect_given(ic, 0b01, 0, a) == (
         classify_effect(ic, 0b01, a) is EffectClass.NONE
     )
+
+
+def _no_effect_given_by_definition(cs, u, v, a, tol=1e-9):
+    """Every subset S: the S|V kernel against the one forgetting U outside V."""
+    ind = a.indicator()
+    for s in subsets.all_masks(cs.space.n):
+        big = s | v
+        small = big & ~(u & ~v)
+        proj = cs.space.atom_projection(big, small)
+        diff = cs.mechanism[big].matrix @ ind - (cs.mechanism[small].matrix @ ind)[proj]
+        if np.abs(diff).max() > tol:
+            return False
+    return True
+
+
+def test_no_effect_given_matches_the_definition():
+    seen = set()
+    spaces = [compile_scm(random_scm(seed)) for seed in range(8)]
+    spaces += [random_causal_space(RandomSpaceConfig(seed, 4)) for seed in range(2)]
+    rng = np.random.default_rng(0)
+    for cs in spaces:
+        sp = cs.space
+        for v in subsets.all_masks(sp.n):
+            if subsets.size(v) < 2:
+                continue
+            for u in range(1, sp.full + 1):
+                t = int(rng.integers(sp.n))
+                name, outcomes = sp.components[t]
+                a = rectangle(sp, {name: [outcomes[int(rng.integers(len(outcomes)))]]})
+                got = has_no_effect_given(cs, u, v, a)
+                assert got == _no_effect_given_by_definition(cs, u, v, a), (u, v)
+                seen.add(got)
+    assert seen == {True, False}
 
 
 def test_time_partition_must_be_disjoint():

@@ -39,6 +39,35 @@ def test_measure_validation():
     assert np.linalg.eigvalsh(g.cov).min() >= 0.0
 
 
+@pytest.mark.parametrize(
+    "mean, cov",
+    [([np.nan], [[1.0]]), ([np.inf], [[1.0]]), ([0.0], [[np.nan]]), ([0.0], [[np.inf]])],
+    ids=["nan-mean", "inf-mean", "nan-cov", "inf-cov"],
+)
+def test_measure_rejects_non_finite_entries(mean, cov):
+    with pytest.raises(DomainError, match="non-finite"):
+        Gaussian(mean, cov)
+
+
+@pytest.mark.parametrize(
+    "source, coeff, offset, noise",
+    [
+        (0, np.zeros((1, 0)), [np.nan], [[1.0]]),
+        (0, np.zeros((1, 0)), [0.0], [[np.inf]]),
+        (0b01, [[1.0], [np.nan]], [0.0, 0.0], np.zeros((2, 2))),
+    ],
+    ids=["nan-offset", "inf-noise", "nan-coeff"],
+)
+def test_kernel_rejects_non_finite_entries(source, coeff, offset, noise):
+    with pytest.raises(DomainError, match="non-finite"):
+        GaussianKernel(source, coeff, offset, noise)
+
+
+def test_intervention_rejects_non_finite_pin():
+    with pytest.raises(DomainError, match="non-finite"):
+        g_intervene(altitude_temperature(), 0b01, [np.nan])
+
+
 def test_kernel_determinism_is_enforced():
     with pytest.raises(DomainError, match="deterministic"):
         GaussianKernel(0b01, [[0.9], [0.3]], [0.0, 0.0], np.zeros((2, 2)))
