@@ -222,19 +222,20 @@ def demo():
 @_guarded
 def brownian(steps, horizon, at_, value):
     """Variance paths of a Brownian grid, intervened and conditioned."""
+    for flag, x in (("--at", at_), ("--horizon", horizon), ("--value", value)):
+        if not np.isfinite(x):
+            raise DocumentError(f"{flag} {x} is non-finite")
+    if not np.isfinite(horizon * steps):
+        raise DocumentError(f"--horizon {horizon} gives non-finite grid times")
     grid = brownian_grid(steps, horizon)
     times = horizon * np.arange(1, steps + 1) / steps
     i = int(np.argmin(np.abs(times - at_)))
     if abs(times[i] - at_) > 1e-9:
         raise DocumentError(f"--at {at_} is not one of the {steps} grid times")
-    if not np.isfinite(value):
-        raise DocumentError(f"--value {value} is non-finite")
-    with np.errstate(all="ignore"):  # overflow raises DomainError or fails the table check
+    with np.errstate(all="ignore"):  # an overflowing moment raises DomainError
         done = g_intervene(grid, 1 << i, [value])
         seen = g_condition(grid, 1 << i, [value])
     table = np.column_stack([times, done.mean, np.diag(done.cov), seen.mean, np.diag(seen.cov)])
-    if not np.isfinite(table).all():
-        raise DocumentError("the demo produced non-finite cells; check --value and --horizon")
     lines = ["time,mean_intervened,var_intervened,mean_conditioned,var_conditioned"]
     lines += [",".join(map(repr, row)) for row in table.tolist()]
     sys.stdout.write("\r\n".join(lines) + "\r\n")

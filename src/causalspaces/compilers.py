@@ -3,10 +3,10 @@
 A structural model is a list of assignments X_j := f_j(parents, noise_j)
 with jointly independent finite noises, supplied in topological order. The
 observational measure is the pushforward of the noise product; the kernel
-for a subset S re-runs the assignments with the S-variables clamped to the
-row's atom. Nothing else is free: the whole mechanism is determined by the
-assignments, which is exactly the modelling rigidity the rest of the
-package is built to escape.
+for a subset S re-runs the assignments with the S-variables clamped, once
+over every (row atom, noise atom) pair. Nothing else is free: the whole
+mechanism is determined by the assignments, which is exactly the modelling
+rigidity the rest of the package is built to escape.
 
 A potential-outcome setup carries a joint law over treatment, covariate and
 the per-treatment outcome vector. Only part of its causal content is
@@ -34,9 +34,9 @@ from .measure import (
     Dist,
     FiniteProductSpace,
     Kernel,
-    marginal,
-    product_weights,
     _normalise,
+    marginal,
+    pinned_kernel,
 )
 
 
@@ -181,53 +181,53 @@ def scm_from_functions(
 
 
 def _noise_grid(s: ScmSpec) -> tuple[np.ndarray, np.ndarray]:
-    """All joint noise atoms (rows) and their product weights."""
+    """All joint noise atoms (rows, row-major) and their product weights."""
     sizes = [len(nz.outcomes) for nz in s.noises]
-    total = math.prod(sizes)
-    flats = np.arange(total, dtype=np.intp)
-    idx = np.empty((total, len(sizes)), dtype=np.intp)
-    acc = total
-    for j, size in enumerate(sizes):
-        acc //= size
-        idx[:, j] = (flats // acc) % size
-    w = np.ones(total)
+    idx = np.indices(sizes).reshape(len(sizes), -1).T
+    w = np.ones(len(idx))
     for j, nz in enumerate(s.noises):
         w *= np.asarray(nz.weights, dtype=np.float64)[idx[:, j]]
     return idx, w
 
 
-def _pushforward(s: ScmSpec, space: FiniteProductSpace, clamp: Mapping[int, int],
+def _pushforward(s: ScmSpec, space: FiniteProductSpace, mask: int,
                  noise_idx: np.ndarray, noise_w: np.ndarray) -> np.ndarray:
-    """Weights of the clamped assignment image on the variable space."""
-    d = len(s.variables)
-    vals = np.empty((noise_idx.shape[0], d), dtype=np.intp)
-    for j in range(d):
-        if j in clamp:
-            vals[:, j] = clamp[j]
-            continue
-        flat_pa = np.zeros(noise_idx.shape[0], dtype=np.intp)
-        for p in s.parents[j]:
-            flat_pa = flat_pa * len(s.variables[p].outcomes) + vals[:, p]
-        vals[:, j] = s.tables[j][flat_pa, noise_idx[:, j]]
+    """Kernel matrix of the re-run with the mask's variables clamped.
+
+    One pass over the (row atom x noise atom) grid: a clamped variable reads
+    the row's coordinate from the projection table, the others run their
+    tables; one bincount scatters the noise weights into (row, atom) cells.
+    """
+    n_rows = space.n_atoms_of(mask)
     _, strides = space._strides(space.full)
-    flat = vals @ np.asarray(strides, dtype=np.intp)
-    return np.bincount(flat, weights=noise_w, minlength=space.n_atoms)
+    cell = np.arange(n_rows, dtype=np.intp)[:, None] * space.n_atoms
+    cell = cell + np.zeros(len(noise_w), dtype=np.intp)
+    vals: list[np.ndarray] = []
+    for j in range(len(s.variables)):
+        if mask >> j & 1:
+            v = space.atom_projection(mask, 1 << j)[:, None]
+        else:
+            flat_pa = 0
+            for p in s.parents[j]:
+                flat_pa = flat_pa * len(s.variables[p].outcomes) + vals[p]
+            v = s.tables[j][flat_pa, noise_idx[:, j]]
+        vals.append(v)
+        cell += v * strides[j]
+    weights = np.broadcast_to(noise_w, cell.shape).reshape(-1)
+    out = np.bincount(cell.reshape(-1), weights=weights, minlength=n_rows * space.n_atoms)
+    return out.reshape(n_rows, space.n_atoms)
 
 
 def compile_scm(s: ScmSpec) -> CausalSpace:
-    """Observational pushforward plus one clamped-rerun kernel per subset."""
+    """Observational pushforward plus one clamped re-run per subset, all rows at once."""
     space = FiniteProductSpace(tuple((v.name, v.outcomes) for v in s.variables))
     noise_idx, noise_w = _noise_grid(s)
-    kernels = []
-    for mask in subsets.all_masks(space.n):
-        comps = subsets.indices_of(mask)
-        rows = np.empty((space.n_atoms_of(mask), space.n_atoms))
-        for i in range(rows.shape[0]):
-            clamp = dict(zip(comps, space.coords_of(mask, i)))
-            rows[i] = _pushforward(s, space, clamp, noise_idx, noise_w)
-        kernels.append(Kernel(space, mask, rows))
+    kernels = tuple(
+        Kernel(space, mask, _pushforward(s, space, mask, noise_idx, noise_w))
+        for mask in subsets.all_masks(space.n)
+    )
     p = Dist(space, space.full, kernels[0].matrix[0])
-    return CausalSpace(space, p, CausalMechanism(space, tuple(kernels)))
+    return CausalSpace(space, p, CausalMechanism(space, kernels))
 
 
 def truncated_factorization_oracle(s: ScmSpec, do: Mapping[str, str]) -> Dist:
@@ -351,9 +351,12 @@ def compile_po(s: PoSpec) -> tuple[CausalSpace, PoSpecificationMask]:
     )
     jr = s.shaped()
     p = np.zeros((nz, ny, nx))
+    y_law = np.empty((nz, ny))
     for z in range(nz):
         block = np.moveaxis(jr[z], 1 + z, 0)  # (Y_z, X, other Y axes...)
         p[z] = block.reshape(ny, nx, -1).sum(axis=2)
+        # unconditional law of the potential outcome under treatment z
+        y_law[z] = jr.sum(axis=tuple(k for k in range(jr.ndim) if k != 2 + z))
     p_dist = Dist(space, space.full, p.reshape(-1))
 
     filled: list[MaskEntry] = []
@@ -362,29 +365,18 @@ def compile_po(s: PoSpec) -> tuple[CausalSpace, PoSpecificationMask]:
     z_mass = jr.reshape(nz, -1).sum(axis=1)
     x_marg = jr.reshape(nz, nx, -1).sum(axis=2)
     x_uncond = x_marg.sum(axis=0)
-    rows = np.empty((nz, space.n_atoms))
-    fallback_rows = []
-    for z in range(nz):
-        axes = tuple(k for k in range(jr.ndim) if k != 2 + z)
-        y_law = jr.sum(axis=axes)  # unconditional law of the potential outcome
-        if z_mass[z] > NORM_TOL:
-            x_given = x_marg[z] / z_mass[z]
-        else:
-            x_given = x_uncond / x_uncond.sum()
-            fallback_rows.append(z)
-        point = np.zeros(nz)
-        point[z] = 1.0
-        rows[z] = product_weights(
-            space,
-            [(TREATMENT, point), (OUTCOME, y_law), (COVARIATE, x_given)],
-            space.full,
-        )
+    ok = z_mass > NORM_TOL
+    x_given = np.empty((nz, nx))
+    x_given[ok] = x_marg[ok] / z_mass[ok, None]
+    x_given[~ok] = x_uncond / x_uncond.sum()
+    fallback_rows = np.nonzero(~ok)[0].tolist()
     filled.append(MaskEntry(subset=(0,), scope="covariate-factor"))
     if fallback_rows:
         filled.append(
             MaskEntry(subset=(0,), scope="covariate-marginal-fallback", rows=tuple(fallback_rows))
         )
-    treatment_kernel = Kernel(space, TREATMENT, rows)
+    rest = (y_law[:, :, None] * x_given[:, None, :]).reshape(nz, ny * nx)
+    treatment_kernel = pinned_kernel(space, TREATMENT, rest)
 
     kernels = []
     for mask in subsets.all_masks(space.n):
@@ -410,21 +402,21 @@ def compile_po(s: PoSpec) -> tuple[CausalSpace, PoSpecificationMask]:
 def _conditionals_with_completion(
     space: FiniteProductSpace, p: Dist, mask: int
 ) -> tuple[Kernel, list[int]]:
-    """Conditional rows where defined, point-times-marginal elsewhere."""
+    """Conditional rows where defined, point-times-marginal elsewhere.
+
+    Either way a row is its point mass times a law on the complement: p's
+    slice over the atom divided by its mass, or p's marginal on a null atom.
+    """
     fibers = space.fiber_indicators(mask)
     masses = fibers @ p.weights
-    rows = np.empty((fibers.shape[0], space.n_atoms))
     ok = masses > NORM_TOL
-    rows[ok] = fibers[ok] * p.weights[None, :] / masses[ok, None]
-    null_rows = np.nonzero(~ok)[0].tolist()
     rest = space.full & ~mask
-    if null_rows:
-        rest_w = marginal(p, rest).weights
-        for i in null_rows:
-            point = np.zeros(fibers.shape[0])
-            point[i] = 1.0
-            rows[i] = product_weights(space, [(mask, point), (rest, rest_w)], space.full)
-    return Kernel(space, mask, rows), null_rows
+    law = np.empty((fibers.shape[0], space.n_atoms_of(rest)))
+    law[space.atom_projection(space.full, mask),
+        space.atom_projection(space.full, rest)] = p.weights
+    law[ok] /= masses[ok, None]
+    law[~ok] = marginal(p, rest).weights
+    return pinned_kernel(space, mask, law), np.nonzero(~ok)[0].tolist()
 
 
 def ate(

@@ -14,7 +14,8 @@ Intervening on a subset U replaces mass on the U-coordinates by a supplied
 measure and re-routes every kernel through the joint kernel of the union.
 Generic and hard interventions share one rewrite loop and differ only in the
 weights it mixes the union rows with; a kernel whose subset contains U is
-kept as the same object.
+kept as the same object. The trivial mechanism is built a subset at a time
+with measure.pinned_kernel: each row is its point mass times q's marginal.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ from .measure import (
     FiniteProductSpace,
     Kernel,
     bind,
+    check_tol,
     conditional_kernel,
     marginal,
-    product_weights,
+    pinned_kernel,
 )
 
 
@@ -111,6 +113,7 @@ def validate_causal_space(cs: CausalSpace, tol: float = NORM_TOL) -> ValidationR
     reshape-sum; a valid row is the point mass at its own atom, so the
     stacked marginals must equal the identity matrix.
     """
+    check_tol(tol)
     out: list[Violation] = []
     space = cs.space
     base = cs.mechanism[0].matrix[0]
@@ -173,18 +176,14 @@ def trivial_mechanism(space: FiniteProductSpace, u: int, q: Dist) -> CausalMecha
     if q.domain != u or u == 0:
         raise DomainError("trivial mechanism needs a measure on a nonempty subset")
     sub = space.subspace(u)
-    kernels = []
-    for local in subsets.all_masks(sub.n):
-        rest = sub.full & ~local
-        n_rows = sub.n_atoms_of(local)
-        rest_w = marginal(Dist(sub, sub.full, q.weights), rest).weights
-        rows = np.empty((n_rows, sub.n_atoms))
-        for i in range(n_rows):
-            point = np.zeros(sub.n_atoms_of(local))
-            point[i] = 1.0
-            rows[i] = product_weights(sub, [(local, point), (rest, rest_w)], sub.full)
-        kernels.append(Kernel(sub, local, rows))
-    return CausalMechanism(sub, tuple(kernels))
+    q_sub = Dist(sub, sub.full, q.weights)
+    return CausalMechanism(
+        sub,
+        tuple(
+            pinned_kernel(sub, local, marginal(q_sub, sub.full & ~local).weights)
+            for local in subsets.all_masks(sub.n)
+        ),
+    )
 
 
 def trivial_internal(space: FiniteProductSpace, u: int, q: Dist) -> CausalSpace:

@@ -33,7 +33,7 @@ import numpy as np
 from . import subsets
 from .core import CausalSpace, intervene_hard
 from .errors import ContractError, DomainError, InternalInconsistencyError
-from .measure import NORM_TOL, Atom, Dist, Event, bind, dirac
+from .measure import NORM_TOL, Atom, Dist, Event, bind, check_tol, dirac
 
 
 class EffectClass(enum.Enum):
@@ -84,6 +84,7 @@ def _classify(cs: CausalSpace, u: int, cols: np.ndarray, tol: float):
 
 def classify_effect(cs: CausalSpace, u: int, a: Event, tol: float = NORM_TOL) -> EffectClass:
     """Classify the effect of the U-components on one event."""
+    check_tol(tol)
     cs.space._check_mask(u)
     return _classify(cs, u, _check_event(cs, a), tol)[0]
 
@@ -97,6 +98,7 @@ def classify_effect_on_subset(
     defining comparisons are additive in the event, so scanning atom events
     alone is exhaustive.
     """
+    check_tol(tol)
     cs.space._check_mask(u)
     cs.space._check_mask(v)
     return _classify(cs, u, cs.space.fiber_indicators(v).T, tol)[0]
@@ -112,6 +114,7 @@ def classify_effect_on_sigma(
     generated algebra is identified by reducing each event to its essential
     components and taking the union.
     """
+    check_tol(tol)
     v = 0
     for ev in events:
         if ev.space != cs.space:
@@ -128,6 +131,7 @@ def has_no_effect_given(
     For every subset S the kernel of S|V must agree on the event with the
     kernel that forgets U's components outside V.
     """
+    check_tol(tol)
     space = cs.space
     space._check_mask(u)
     space._check_mask(v)
@@ -140,6 +144,7 @@ def has_no_effect_given(
 
 def is_trivial_kernel(cs: CausalSpace, u: int, tol: float = NORM_TOL) -> bool:
     """U has no effect on anything outside itself."""
+    check_tol(tol)
     rest = cs.space.full & ~u
     return classify_effect_on_subset(cs, u, rest, tol) is EffectClass.NONE
 
@@ -148,6 +153,7 @@ def is_time_respecting(
     cs: CausalSpace, partition: Sequence[int], tol: float = NORM_TOL
 ) -> bool:
     """No slice of the ordered partition affects any earlier slice."""
+    check_tol(tol)
     seen = 0
     for mask in partition:
         cs.space._check_mask(mask)
@@ -167,6 +173,7 @@ def is_source(cs: CausalSpace, u: int, a: Event, tol: float = NORM_TOL) -> bool:
     Atoms with observational mass at or below tol are skipped: conditional
     probability is only defined up to a null set.
     """
+    check_tol(tol)
     cs.space._check_mask(u)
     ind = _check_event(cs, a)
     fibers = cs.space.fiber_indicators(u)
@@ -195,6 +202,7 @@ def _is_local_source_on_subset(cs: CausalSpace, u: int, v: int, tol: float) -> b
 
 def is_global_source(cs: CausalSpace, u: int, tol: float = NORM_TOL) -> bool:
     """Source of every event: rows equal conditionals on positive-mass atoms."""
+    check_tol(tol)
     return _is_local_source_on_subset(cs, u, cs.space.full, tol)
 
 
@@ -221,6 +229,7 @@ def activate_dormant(
     then hard-intervenes the non-U part to the witness atom's coordinates.
     The activated subset is S's intersection with U.
     """
+    check_tol(tol)
     space = cs.space
     space._check_mask(u)
     effect, hit = _classify(cs, u, _check_event(cs, a), tol)
@@ -267,6 +276,7 @@ def adjustment_estimate(
     evaluated on the event; the estimate itself touches only q and the
     observational measure.
     """
+    check_tol(tol)
     space = cs.space
     space._check_mask(u)
     space._check_mask(v)

@@ -25,9 +25,10 @@ from .measure import (
     FiniteProductSpace,
     Kernel,
     bind,
+    conditional_kernel,
     dirac,
     marginal,
-    product_weights,
+    pinned_kernel,
     rectangle,
     tv_distance,
     uniform,
@@ -155,23 +156,13 @@ def ice_cream_shark() -> CausalSpace:
     )
     p = Dist(space, space.full, np.array([0.4, 0.1, 0.1, 0.4]))
     ice, sharks = 0b01, 0b10
-    p_ice = marginal(p, ice).weights
-    p_sharks = marginal(p, sharks).weights
-    kernels = [Kernel(space, 0, p.weights[None, :])]
-    rows = np.empty((2, 4))
-    for i in range(2):
-        point = np.zeros(2)
-        point[i] = 1.0
-        rows[i] = product_weights(space, [(ice, point), (sharks, p_sharks)], space.full)
-    kernels.append(Kernel(space, ice, rows))
-    rows = np.empty((2, 4))
-    for i in range(2):
-        point = np.zeros(2)
-        point[i] = 1.0
-        rows[i] = product_weights(space, [(sharks, point), (ice, p_ice)], space.full)
-    kernels.append(Kernel(space, sharks, rows))
-    kernels.append(Kernel(space, space.full, np.eye(4)))
-    return CausalSpace(space, p, CausalMechanism(space, tuple(kernels)))
+    kernels = (
+        Kernel(space, 0, p.weights[None, :]),
+        pinned_kernel(space, ice, marginal(p, sharks).weights),
+        pinned_kernel(space, sharks, marginal(p, ice).weights),
+        Kernel(space, space.full, np.eye(4)),
+    )
+    return CausalSpace(space, p, CausalMechanism(space, kernels))
 
 
 def mutual_information(d: Dist, u: int, v: int) -> float:
@@ -199,18 +190,10 @@ def discretized_altitude_temperature() -> CausalSpace:
     base = np.array([[1.0, 4.0, 10.0], [3.0, 9.0, 3.0], [10.0, 4.0, 1.0]])
     p = Dist(space, space.full, (base / base.sum()).reshape(-1))
     alt, temp = 0b01, 0b10
-    fibers = space.fiber_indicators(alt)
-    cond = fibers * p.weights[None, :] / (fibers @ p.weights)[:, None]
-    p_alt = marginal(p, alt).weights
-    rows = np.empty((3, 9))
-    for i in range(3):
-        point = np.zeros(3)
-        point[i] = 1.0
-        rows[i] = product_weights(space, [(temp, point), (alt, p_alt)], space.full)
     kernels = (
         Kernel(space, 0, p.weights[None, :]),
-        Kernel(space, alt, cond),
-        Kernel(space, temp, rows),
+        conditional_kernel(p, alt),
+        pinned_kernel(space, temp, marginal(p, alt).weights),
         Kernel(space, space.full, np.eye(9)),
     )
     return CausalSpace(space, p, CausalMechanism(space, kernels))
@@ -389,21 +372,10 @@ def reversibility_counterexample() -> ReversibilityWitness:
     p_amount = np.array([0.5, 0.3, 0.2])
     p_price = np.array([0.2, 0.3, 0.5])
     p = Dist(space, space.full, np.outer(p_amount, p_price).reshape(-1))
-    rows_a = np.empty((3, 9))
-    rows_p = np.empty((3, 9))
-    for i in range(3):
-        point = np.zeros(3)
-        point[i] = 1.0
-        rows_a[i] = product_weights(
-            space, [(amount, point), (price, to_price[i])], space.full
-        )
-        rows_p[i] = product_weights(
-            space, [(price, point), (amount, to_amount[i])], space.full
-        )
     kernels = (
         Kernel(space, 0, p.weights[None, :]),
-        Kernel(space, amount, rows_a),
-        Kernel(space, price, rows_p),
+        pinned_kernel(space, amount, to_price),
+        pinned_kernel(space, price, to_amount),
         Kernel(space, space.full, np.eye(9)),
     )
     cs = CausalSpace(space, p, CausalMechanism(space, kernels))

@@ -227,24 +227,36 @@ class Atom:
 
 
 def _normalise(weights: np.ndarray, what: str) -> np.ndarray:
-    """Shared constructor rule for measure weights.
+    """Shared constructor rule for measure weights, along the last axis.
 
-    Accepted unchanged when the total is within NORM_TOL of 1 (keeps
-    dump/parse round-trips bitwise stable), renormalised when within
-    RENORM_TOL, rejected beyond that. NaN weights and negative weights beyond
-    -NORM_TOL are rejected; tiny negative float noise is clamped to zero.
+    Each weight vector (a 1-D array, or every row of a matrix) is accepted
+    unchanged when its total is within NORM_TOL of 1 (keeps dump/parse
+    round-trips bitwise stable), renormalised when within RENORM_TOL,
+    rejected beyond that. NaN weights and negative weights beyond -NORM_TOL
+    are rejected; tiny negative float noise is clamped to zero.
     """
     w = np.array(weights, dtype=np.float64)
     # written so that NaN fails the window checks
     if not w.min(initial=0.0) >= -NORM_TOL:
         raise DomainError(f"{what} has negative or NaN weight {w.min()}")
     np.clip(w, 0.0, None, out=w)
-    total = float(w.sum())
-    if not abs(total - 1.0) <= RENORM_TOL:
-        raise DomainError(f"{what} weights sum to {total!r}, outside the 1e-6 window")
-    if abs(total - 1.0) > NORM_TOL:
-        w /= total
+    sums = w.sum(axis=-1, keepdims=True)
+    off = np.abs(sums - 1.0)
+    if not off.max(initial=0.0) <= RENORM_TOL:
+        bad = int(np.argmax(off))
+        where = what if w.ndim == 1 else f"{what} row {bad}"
+        raise DomainError(
+            f"{where} weights sum to {float(sums.flat[bad])!r}, outside the 1e-6 window"
+        )
+    np.divide(w, sums, out=w, where=off > NORM_TOL)
     return w
+
+
+def check_tol(tol: float) -> None:
+    """Reject a tolerance that would make every comparison pass or fail."""
+    # written so that NaN fails the check
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be a finite non-negative number, got {tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,24 +478,11 @@ class Kernel:
 
     def __post_init__(self):
         self.space._check_mask(self.source)
-        m = np.array(self.matrix, dtype=np.float64)
+        m = np.asarray(self.matrix, dtype=np.float64)
         want = (self.space.n_atoms_of(self.source), self.space.n_atoms)
         if m.shape != want:
             raise DomainError(f"kernel matrix shape {m.shape}, expected {want}")
-        # written so that NaN fails the window checks
-        if not m.min(initial=0.0) >= -NORM_TOL:
-            raise DomainError(f"kernel row has negative or NaN weight {m.min()}")
-        np.clip(m, 0.0, None, out=m)
-        sums = m.sum(axis=1)
-        off = np.abs(sums - 1.0)
-        if not off.max(initial=0.0) <= RENORM_TOL:
-            bad = int(np.argmax(off))
-            raise DomainError(
-                f"kernel row {bad} sums to {sums[bad]!r}, outside the 1e-6 window"
-            )
-        fix = off > NORM_TOL
-        if fix.any():
-            m[fix] /= sums[fix, None]
+        m = _normalise(m, "kernel")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -521,6 +520,28 @@ def conditional_kernel(d: Dist, mask: int) -> Kernel:
         raise NullSetError(f"fiber over atom {bad} of mask {mask:#b} has null mass")
     matrix = onehot * d.weights[None, :] / masses[:, None]
     return Kernel(d.space, mask, matrix)
+
+
+def pinned_kernel(space: FiniteProductSpace, source: int, rest: np.ndarray) -> Kernel:
+    """Kernel whose row at a source atom is the point mass there times a law.
+
+    rest is one law over the complement's atoms, shared by every row, or one
+    such law per source atom. Each full atom lies over one source atom, so
+    one scatter along the projection tables fills the rows. As in
+    product_weights, a factor on the empty mask contributes nothing.
+    """
+    space._check_mask(source)
+    comp = space.full & ~source
+    n_rows, n_rest = space.n_atoms_of(source), space.n_atoms_of(comp)
+    rest = np.asarray(rest, dtype=np.float64)
+    if rest.shape not in ((n_rest,), (n_rows, n_rest)):
+        raise DomainError(f"rest shape {rest.shape}, expected ({n_rest},) or ({n_rows}, {n_rest})")
+    at = space.atom_projection(space.full, source)
+    law = np.broadcast_to(rest, (n_rows, n_rest))
+    matrix = np.zeros((n_rows, space.n_atoms))
+    cols = np.arange(space.n_atoms)
+    matrix[at, cols] = law[at, space.atom_projection(space.full, comp)] if comp else 1.0
+    return Kernel(space, source, matrix)
 
 
 def tv_distance(a: Dist, b: Dist) -> float:

@@ -217,6 +217,15 @@ def test_demo_brownian_csv(runner):
         pinned = runner.invoke(main, ["demo", "brownian", "--value", value])
         assert pinned.exit_code == 2, pinned.output
         assert "non-finite" in pinned.output
+    for flags in (
+        ["--steps", "4", "--horizon", "2", "--at", "nan"],
+        ["--horizon", "nan"],
+        ["--horizon", "inf"],
+        ["--steps", "4", "--horizon", "1e308"],
+    ):
+        bad = runner.invoke(main, ["demo", "brownian", *flags])
+        assert bad.exit_code == 2, (flags, bad.output)
+        assert "non-finite" in bad.output
 
 
 def test_demo_altitude_json(runner):

@@ -26,7 +26,7 @@ from causalspaces.core import intervene_hard, validate_causal_space
 from causalspaces.effects import EffectClass, classify_effect, is_time_respecting
 from causalspaces.errors import CycleError, DomainError
 from causalspaces.harness import random_scm, xor_scm
-from causalspaces.measure import condition, dirac, marginal, rectangle
+from causalspaces.measure import Atom, condition, dirac, marginal, rectangle
 
 B = ("0", "1")
 COIN = NoiseTerm(B, (0.5, 0.5))
@@ -203,6 +203,53 @@ def test_oracle_matches_multi_site_do():
     want = truncated_factorization_oracle(s, {"X": "1", "Z": "0"})
     got = intervene_hard(cs, u, dirac(cs.space, at)).observational
     assert np.abs(want.weights - got.weights).max() <= 1e-12
+
+
+def chain6():
+    """Six binary variables, each a noisy copy of the one before."""
+    names = [f"X{j}" for j in range(6)]
+    return scm_from_functions(
+        [ScmVariable(name, B) for name in names],
+        [COIN] + [flip_noise(0.1 + 0.05 * j) for j in range(1, 6)],
+        [()] + [(j - 1,) for j in range(1, 6)],
+        [lambda pa, n: n] + [copy_or_flip(names[j - 1]) for j in range(1, 6)],
+    )
+
+
+def random_tables_scm(seed, parents, n_out, n_noise):
+    """Given parent sets, draw tables and noise weights from one seeded rng."""
+    rng = np.random.default_rng(seed)
+    outs = tuple(str(k) for k in range(n_out))
+    variables = tuple(ScmVariable(f"X{j}", outs) for j in range(len(parents)))
+    noises, tables = [], []
+    for ps in parents:
+        w = rng.dirichlet(np.ones(n_noise)) + 0.01
+        noises.append(NoiseTerm(tuple(f"n{k}" for k in range(n_noise)), tuple(w / w.sum())))
+        tables.append(rng.integers(0, n_out, size=(n_out ** len(ps), n_noise)))
+    return ScmSpec(variables, tuple(noises), tuple(parents), tuple(tables))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        chain6,
+        lambda: random_tables_scm(3, [(), (0,), (0, 1), (1, 2), (2, 3), (0, 4)], 2, 2),
+        lambda: random_tables_scm(5, [(), (0,), (0, 1), (2,)], 3, 3),
+    ],
+    ids=["chain6", "dag6", "ternary4"],
+)
+def test_every_kernel_row_matches_oracle(make):
+    """Each row is the oracle clamped at the row's atom, bit for bit: both
+    multiply the noise weights in variable order and add the products in
+    noise-grid order."""
+    s = make()
+    cs = compile_scm(s)
+    space = cs.space
+    for mask in range(1 << space.n):
+        matrix = cs.mechanism[mask].matrix
+        for i in range(matrix.shape[0]):
+            want = truncated_factorization_oracle(s, space.labels_of(Atom(mask, i)))
+            np.testing.assert_array_equal(matrix[i], want.weights)
 
 
 @settings(max_examples=20, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 
 from causalspaces import subsets
 from causalspaces.compilers import NoiseTerm, ScmVariable, compile_scm, scm_from_functions
+from causalspaces.core import validate_causal_space
 from causalspaces.effects import (
     EffectClass,
     activate_dormant,
@@ -29,6 +30,7 @@ from causalspaces.harness import (
     random_causal_space,
     random_scm,
     reversibility_counterexample,
+    xor_scm,
 )
 from causalspaces.measure import Dist, Event, bind, dirac, rectangle
 
@@ -391,3 +393,32 @@ def test_trusted_estimates_match_the_kernel_path():
         elif not res.consistent or res.case is None:
             assert res.notes
     assert trusted_seen >= 10
+
+
+TOL_ENTRY_POINTS = {
+    "validate_causal_space": lambda cs, x, y, tol: validate_causal_space(cs, tol=tol),
+    "classify_effect": lambda cs, x, y, tol: classify_effect(cs, x, y, tol),
+    "classify_effect_on_subset": lambda cs, x, y, tol: classify_effect_on_subset(cs, x, 0b10, tol),
+    "classify_effect_on_sigma": lambda cs, x, y, tol: classify_effect_on_sigma(cs, x, [y], tol),
+    "has_no_effect_given": lambda cs, x, y, tol: has_no_effect_given(cs, x, 0, y, tol),
+    "is_trivial_kernel": lambda cs, x, y, tol: is_trivial_kernel(cs, x, tol),
+    "is_time_respecting": lambda cs, x, y, tol: is_time_respecting(cs, [x, 0b10], tol),
+    "is_source": lambda cs, x, y, tol: is_source(cs, x, y, tol),
+    "is_global_source": lambda cs, x, y, tol: is_global_source(cs, x, tol),
+    "activate_dormant": lambda cs, x, y, tol: activate_dormant(cs, x, y, tol),
+    "adjustment_estimate": lambda cs, x, y, tol: adjustment_estimate(
+        cs, x, 0, Dist(cs.space, x, [0.5, 0.5]), y, tol
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "tol", [float("nan"), float("inf"), -1e-9], ids=["nan", "inf", "negative"]
+)
+@pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
+def test_bad_tol_is_rejected(entry, tol):
+    cs = compile_scm(xor_scm())
+    x, y = 0b01, rectangle(cs.space, {"Y": ["1"]})
+    assert classify_effect(cs, x, y) is EffectClass.ACTIVE
+    with pytest.raises(DomainError, match="tol"):
+        TOL_ENTRY_POINTS[entry](cs, x, y, tol)

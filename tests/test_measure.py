@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from causalspaces import measure as M
 from causalspaces import subsets
+from causalspaces.core import CausalMechanism, CausalSpace, validate_causal_space
 from causalspaces.errors import CapError, DomainError, NullSetError
 
 
@@ -142,6 +143,59 @@ def test_kernel_nan_rejected():
     sp = grid22()
     with pytest.raises(DomainError, match="NaN"):
         M.Kernel(sp, 0, [[np.nan, 1.0, 0.0, 0.0]])
+
+
+def grid232():
+    return M.FiniteProductSpace(
+        (("A", ("0", "1")), ("B", ("0", "1", "2")), ("C", ("0", "1")))
+    )
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per-row"])
+def test_pinned_kernel_rows_are_point_times_law(per_row):
+    sp = grid232()
+    rng = np.random.default_rng(11)
+    for source in subsets.all_masks(sp.n):
+        rest = sp.full & ~source
+        n_rows, n_rest = sp.n_atoms_of(source), sp.n_atoms_of(rest)
+        law = rng.dirichlet(np.ones(n_rest), size=n_rows if per_row else None)
+        k = M.pinned_kernel(sp, source, law)
+        assert k.source == source
+        for i in range(n_rows):
+            point = np.zeros(n_rows)
+            point[i] = 1.0
+            rest_w = law[i] if per_row else law
+            want = M.product_weights(sp, [(source, point), (rest, rest_w)], sp.full)
+            assert np.array_equal(k.matrix[i], want), (source, i)
+
+
+def test_pinned_kernel_source_edges():
+    sp = grid232()
+    law = np.arange(1.0, 13.0) / 78.0
+    np.testing.assert_array_equal(M.pinned_kernel(sp, 0, law).matrix, law[None, :])
+    np.testing.assert_array_equal(M.pinned_kernel(sp, sp.full, [1.0]).matrix, np.eye(12))
+    per_row = np.ones((12, 1))
+    np.testing.assert_array_equal(M.pinned_kernel(sp, sp.full, per_row).matrix, np.eye(12))
+    with pytest.raises(DomainError, match="shape"):
+        M.pinned_kernel(sp, 0b001, np.full(3, 1 / 3))
+    with pytest.raises(DomainError, match="shape"):
+        M.pinned_kernel(sp, 0b001, np.full((3, 6), 1 / 6))
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per-row"])
+def test_pinned_kernels_form_a_valid_space(per_row):
+    sp = grid232()
+    rng = np.random.default_rng(12)
+    p = M.Dist(sp, sp.full, rng.dirichlet(np.ones(sp.n_atoms)))
+    kernels = [M.Kernel(sp, 0, p.weights[None, :])]
+    for source in subsets.all_masks(sp.n)[1:]:
+        rest = sp.full & ~source
+        law = M.marginal(p, rest).weights
+        if per_row:
+            law = rng.dirichlet(np.ones(len(law)), size=sp.n_atoms_of(source))
+        kernels.append(M.pinned_kernel(sp, source, law))
+    cs = CausalSpace(sp, p, CausalMechanism(sp, tuple(kernels)))
+    assert validate_causal_space(cs).ok
 
 
 # ------------------------------------------------------------- indexing
