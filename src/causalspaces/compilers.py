@@ -34,6 +34,7 @@ from .measure import (
     Dist,
     FiniteProductSpace,
     Kernel,
+    _conditional_table,
     _normalise,
     marginal,
     pinned_kernel,
@@ -404,19 +405,12 @@ def _conditionals_with_completion(
 ) -> tuple[Kernel, list[int]]:
     """Conditional rows where defined, point-times-marginal elsewhere.
 
-    Either way a row is its point mass times a law on the complement: p's
-    slice over the atom divided by its mass, or p's marginal on a null atom.
+    A null atom's row is its point mass times p's marginal on the complement.
     """
-    fibers = space.fiber_indicators(mask)
-    masses = fibers @ p.weights
-    ok = masses > NORM_TOL
-    rest = space.full & ~mask
-    law = np.empty((fibers.shape[0], space.n_atoms_of(rest)))
-    law[space.atom_projection(space.full, mask),
-        space.atom_projection(space.full, rest)] = p.weights
-    law[ok] /= masses[ok, None]
-    law[~ok] = marginal(p, rest).weights
-    return pinned_kernel(space, mask, law), np.nonzero(~ok)[0].tolist()
+    law, masses = _conditional_table(space, mask, p.weights)
+    null = masses <= NORM_TOL
+    law[null] = marginal(p, space.full & ~mask).weights
+    return pinned_kernel(space, mask, law), np.nonzero(null)[0].tolist()
 
 
 def ate(

@@ -8,7 +8,8 @@ separate "could not read" from "read fine but invalid".
 Output is compact single-line JSON from json.dumps. Python writes floats as
 their shortest round-trip repr, so a parsed value is bit-identical to the
 dumped one. Non-finite numbers are refused both when writing and when
-reading, where json.loads would otherwise accept NaN and Infinity literals.
+reading, where json.loads would otherwise accept NaN and Infinity literals,
+read 1e400 as inf and keep a 400-digit integer that no float can hold.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ def read_document(path: str | Path) -> dict:
         raise DocumentError(f"{p}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except DocumentError as exc:
         raise DocumentError(f"{p}: {exc}") from None
+    except ValueError as exc:  # an integer literal beyond int's digit limit
+        raise DocumentError(f"{p}: {exc}") from None
     if not isinstance(obj, dict):
         raise DocumentError(f"{p}: top level must be a JSON object")
     return obj
@@ -132,10 +135,21 @@ def _numbers_only(values) -> bool:
     )
 
 
+def _floats(x, what: str) -> np.ndarray:
+    """float64 array of checked numbers; one that overflows a float is refused."""
+    try:
+        out = np.array(x, dtype=np.float64)
+    except OverflowError as exc:
+        raise DocumentError(f"{what} has a number too large for a float") from exc
+    if not np.isfinite(out).all():
+        raise DocumentError(f"{what} has a number too large for a float")
+    return out
+
+
 def _num_list(x, what: str) -> np.ndarray:
     if not isinstance(x, list) or not _numbers_only(x):
         raise DocumentError(f"{what} must be a list of numbers")
-    return np.array(x, dtype=np.float64)
+    return _floats(x, what)
 
 
 def _named_components(x, what: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
@@ -213,7 +227,7 @@ def document_to_space(doc: dict) -> CausalSpace:
             raise DocumentError(f"kernel {key!r} row must be a list of numbers")
         if set(map(len, rows)) != {space.n_atoms}:
             raise DocumentError(f"kernel {key!r} rows need {space.n_atoms} weights")
-        kernels.append(Kernel(space, mask, np.array(rows, dtype=np.float64)))
+        kernels.append(Kernel(space, mask, _floats(rows, f"kernel {key!r}")))
     return CausalSpace(space, p, CausalMechanism(space, tuple(kernels)))
 
 
@@ -273,7 +287,10 @@ def document_to_scm(doc: dict) -> ScmSpec:
                 raise DocumentError(f"tables[{i}] must contain integers only")
         if len({len(r) for r in rows}) > 1:
             raise DocumentError(f"tables[{i}] rows have mixed lengths")
-        tables.append(np.array(rows, dtype=np.intp).reshape(len(rows), -1))
+        try:
+            tables.append(np.array(rows, dtype=np.intp).reshape(len(rows), -1))
+        except OverflowError as exc:
+            raise DocumentError(f"tables[{i}] has an integer too large for an index") from exc
     return ScmSpec(variables, tuple(noises), tuple(parents), tuple(tables))
 
 

@@ -16,6 +16,12 @@ has_no_effect_given, activate_dormant) runs through one scan,
 _first_disagreement, which returns the first (subset, row) where a kernel
 and the kernel forgetting U's part disagree; activate_dormant pins that row.
 
+Likewise every source question (is_source, is_global_source and the
+local-source case of adjustment_estimate) runs through one check,
+_is_source_on, which compares the U-kernel with the observational
+conditional on event columns: one indicator, or the atom indicators of a
+subset.
+
 All scans quantify over every atom regardless of observational mass: a
 kernel disagreement supported only on null rows still blocks "no effect".
 Only source checks and adjustment skip null atoms, where a conditional
@@ -167,6 +173,24 @@ def is_time_respecting(
     return True
 
 
+def _is_source_on(cs: CausalSpace, u: int, cols: np.ndarray, tol: float) -> bool:
+    """The U-kernel matches p's conditional on every event column of cols.
+
+    cols is one event's indicator or a matrix of indicators as columns.
+    Atoms of U with observational mass at or below tol are skipped.
+    """
+    fibers = cs.space.fiber_indicators(u)
+    p = cs.observational.weights
+    masses = fibers @ p
+    ok = masses > tol
+    if not ok.any():
+        return True
+    cols = cols.reshape(p.shape[0], -1)
+    vals = (cs.mechanism[u].matrix @ cols)[ok]
+    cond = (fibers @ (p[:, None] * cols))[ok] / masses[ok, None]
+    return bool(np.abs(vals - cond).max() <= tol)
+
+
 def is_source(cs: CausalSpace, u: int, a: Event, tol: float = NORM_TOL) -> bool:
     """The U-kernel is a version of the conditional probability of the event.
 
@@ -175,35 +199,13 @@ def is_source(cs: CausalSpace, u: int, a: Event, tol: float = NORM_TOL) -> bool:
     """
     check_tol(tol)
     cs.space._check_mask(u)
-    ind = _check_event(cs, a)
-    fibers = cs.space.fiber_indicators(u)
-    masses = fibers @ cs.observational.weights
-    ok = masses > tol
-    if not ok.any():
-        return True
-    vu = (cs.mechanism[u].matrix @ ind)[ok]
-    cond = (fibers @ (cs.observational.weights * ind))[ok] / masses[ok]
-    return bool(np.abs(vu - cond).max() <= tol)
-
-
-def _is_local_source_on_subset(cs: CausalSpace, u: int, v: int, tol: float) -> bool:
-    """Source property of U restricted to every atom event of the V-components."""
-    fibers_u = cs.space.fiber_indicators(u)
-    fibers_v = cs.space.fiber_indicators(v)
-    masses = fibers_u @ cs.observational.weights
-    ok = masses > tol
-    if not ok.any():
-        return True
-    vals = (cs.mechanism[u].matrix @ fibers_v.T)[ok]
-    cond = (fibers_u * cs.observational.weights[None, :]) @ fibers_v.T
-    cond = cond[ok] / masses[ok, None]
-    return bool(np.abs(vals - cond).max() <= tol)
+    return _is_source_on(cs, u, _check_event(cs, a), tol)
 
 
 def is_global_source(cs: CausalSpace, u: int, tol: float = NORM_TOL) -> bool:
     """Source of every event: rows equal conditionals on positive-mass atoms."""
     check_tol(tol)
-    return _is_local_source_on_subset(cs, u, cs.space.full, tol)
+    return _is_source_on(cs, u, cs.space.fiber_indicators(cs.space.full).T, tol)
 
 
 @dataclass(frozen=True)
@@ -305,7 +307,7 @@ def adjustment_estimate(
             consistent = False
             notes.append("do-conditional disagrees with the observational conditional")
 
-    if _is_local_source_on_subset(cs, u, v, tol):
+    if _is_source_on(cs, u, space.fiber_indicators(v).T, tol):
         case = "local-source"
     elif classify_effect_on_subset(cs, u, v, tol) is EffectClass.NONE:
         case = "no-effect"

@@ -107,24 +107,24 @@ class GaussianKernel:
         if s.shape != (n, n):
             raise DomainError(f"noise cov shape {s.shape}, expected {(n, n)}")
         s = np.array(s)
-        for k, t in enumerate(idx):
-            if t >= n:
-                raise DomainError("source mask outside the coordinate range")
-            row = np.zeros(len(idx))
-            row[k] = 1.0
-            if (
-                np.abs(a[t] - row).max() > SYM_TOL
-                or abs(b[t]) > SYM_TOL
-                or np.abs(s[t, :]).max() > SYM_TOL
-                or np.abs(s[:, t]).max() > SYM_TOL
-            ):
-                raise DomainError(
-                    f"kernel is not deterministic on coordinate {t}"
-                )
-            a[t] = row
-            b[t] = 0.0
-            s[t, :] = 0.0
-            s[:, t] = 0.0
+        idx = np.array(idx, dtype=np.intp)
+        inside = idx[idx < n]
+        sel = np.eye(len(idx))
+        dev = np.maximum.reduce([
+            np.abs(a[inside] - sel[: len(inside)]).max(axis=1, initial=0.0),
+            np.abs(b[inside]),
+            np.abs(s[inside]).max(axis=1, initial=0.0),
+            np.abs(s[:, inside]).max(axis=0, initial=0.0),
+        ])
+        bad = np.flatnonzero(dev > SYM_TOL)
+        if bad.size:
+            raise DomainError(f"kernel is not deterministic on coordinate {inside[bad[0]]}")
+        if len(inside) < len(idx):
+            raise DomainError("source mask outside the coordinate range")
+        a[idx] = sel
+        b[idx] = 0.0
+        s[idx, :] = 0.0
+        s[:, idx] = 0.0
         for arr in (a, b, s):
             arr.setflags(write=False)
         object.__setattr__(self, "coeff", a)
@@ -237,19 +237,15 @@ def _schur(gs: GaussianSpace, u: int):
 def g_condition(gs: GaussianSpace, u: int, values) -> Gaussian:
     """Observational conditional given exact values on the U-coordinates.
 
-    Returns a full-dimension Gaussian with the conditioned coordinates
-    pinned (zero variance) at the given values.
+    The point mass at the values pushed through the conditional kernel: a
+    full-dimension Gaussian with the conditioned coordinates pinned (zero
+    variance) at the given values.
     """
+    k = conditional_gaussian_kernel(gs, u)
     v = np.asarray(values, dtype=np.float64).reshape(-1)
-    idx_s, idx_r, gain, resid = _schur(gs, u)
-    if v.shape != (len(idx_s),):
-        raise DomainError(f"{len(idx_s)} conditioned coordinates, got {v.shape}")
-    mean = np.zeros(gs.n)
-    cov = np.zeros((gs.n, gs.n))
-    mean[idx_s] = v
-    mean[idx_r] = gs.mean[idx_r] + gain @ (v - gs.mean[idx_s])
-    cov[np.ix_(idx_r, idx_r)] = resid
-    return Gaussian(mean, cov)
+    if v.shape != (k.coeff.shape[1],):
+        raise DomainError(f"{k.coeff.shape[1]} conditioned coordinates, got {v.shape}")
+    return k.push(g_dirac(v))
 
 
 def conditional_gaussian_kernel(gs: GaussianSpace, u: int) -> GaussianKernel:
@@ -262,8 +258,7 @@ def conditional_gaussian_kernel(gs: GaussianSpace, u: int) -> GaussianKernel:
     a = np.zeros((gs.n, len(idx_s)))
     b = np.zeros(gs.n)
     s = np.zeros((gs.n, gs.n))
-    for k in range(len(idx_s)):
-        a[idx_s[k], k] = 1.0
+    a[idx_s, np.arange(len(idx_s))] = 1.0
     a[idx_r, :] = gain
     b[idx_r] = gs.mean[idx_r] - gain @ gs.mean[idx_s]
     s[np.ix_(idx_r, idx_r)] = resid
@@ -365,26 +360,17 @@ def brownian_grid(n_steps: int, horizon: float = 1.0) -> GaussianSpace:
     names = tuple(f"W({t:g})" for t in times)
 
     def build(mask: int) -> GaussianKernel:
-        idx = subsets.indices_of(mask)
-        pos = {t: k for k, t in enumerate(idx)}
+        idx = np.array(subsets.indices_of(mask), dtype=np.intp)
+        # k[i]: position in idx of the latest intervened time at or before i, or -1
+        k = np.searchsorted(idx, np.arange(n_steps), side="right") - 1
+        after = k >= 0
         a = np.zeros((n_steps, len(idx)))
-        b = np.zeros(n_steps)
-        s = np.zeros((n_steps, n_steps))
-        prev = np.full(n_steps, -1, dtype=np.intp)
-        for i in range(n_steps):
-            if i in pos:
-                a[i, pos[i]] = 1.0
-                continue
-            before = [j for j in idx if j <= i]
-            if before:
-                prev[i] = before[-1]
-                a[i, pos[before[-1]]] = 1.0
-        free = [i for i in range(n_steps) if i not in pos]
-        for i in free:
-            for j in free:
-                if prev[i] == prev[j]:
-                    start = times[prev[i]] if prev[i] >= 0 else 0.0
-                    s[i, j] = min(times[i], times[j]) - start
-        return GaussianKernel(mask, a, b, s)
+        a[after, k[after]] = 1.0
+        start = np.where(after, times[idx[k]], 0.0)
+        free = np.ones(n_steps, dtype=bool)
+        free[idx] = False
+        same = free[:, None] & free[None, :] & (k[:, None] == k[None, :])
+        s = np.where(same, cov - start[:, None], 0.0)
+        return GaussianKernel(mask, a, np.zeros(n_steps), s)
 
     return GaussianSpace(names, np.zeros(n_steps), cov, {}, build)

@@ -278,13 +278,6 @@ class Dist:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
-    def mass(self, at: Atom) -> float:
-        """Mass of the cylinder over the given atom (atom mask inside domain)."""
-        if not subsets.is_subset(at.mask, self.domain):
-            raise DomainError("atom mask must be inside the distribution domain")
-        proj = self.space.atom_projection(self.domain, at.mask)
-        return float(self.weights[proj == at.index].sum())
-
 
 def dirac(space: FiniteProductSpace, at: Atom) -> Dist:
     """Point mass at an atom of the sub-product over at.mask."""
@@ -434,16 +427,6 @@ def whole_space(space: FiniteProductSpace) -> Event:
     return Event(space, 0, np.array([True]))
 
 
-def empty_event(space: FiniteProductSpace) -> Event:
-    return Event(space, 0, np.array([False]))
-
-
-def atom_event(space: FiniteProductSpace, at: Atom) -> Event:
-    flags = np.zeros(space.n_atoms_of(at.mask), dtype=bool)
-    flags[at.index] = True
-    return Event(space, at.mask, flags)
-
-
 def rectangle(space: FiniteProductSpace, allowed: Mapping[str, Iterable[str]]) -> Event:
     """Conjunction of per-component membership constraints."""
     items = sorted((space.index_of(n), set(v)) for n, v in allowed.items())
@@ -486,9 +469,6 @@ class Kernel:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def row(self, index: int) -> Dist:
-        return Dist(self.space, self.space.full, self.matrix[index])
-
     def row_values(self, a: Event) -> np.ndarray:
         """k(atom, a) for every source atom, as one vector."""
         return self.matrix @ a.indicator()
@@ -501,25 +481,38 @@ def bind(q: Dist, k: Kernel) -> Dist:
     return Dist(q.space, q.space.full, q.weights @ k.matrix)
 
 
+def _conditional_table(space: FiniteProductSpace, mask: int, w: np.ndarray):
+    """w conditioned on each atom of mask, as (mask atom x complement atom).
+
+    Returns the table and the fiber masses. A row whose mass is not above
+    NORM_TOL keeps w's raw slice, for the caller to reject or complete.
+    """
+    rest = space.full & ~mask
+    table = np.empty((space.n_atoms_of(mask), space.n_atoms_of(rest)))
+    table[space.atom_projection(space.full, mask), space.atom_projection(space.full, rest)] = w
+    masses = space.fiber_indicators(mask) @ w
+    ok = masses > NORM_TOL
+    table[ok] /= masses[ok, None]
+    return table, masses
+
+
 def conditional_kernel(d: Dist, mask: int) -> Kernel:
     """Kernel whose rows are d conditioned on each atom of the mask product.
 
-    Requires d on the full space with strictly positive mass on every fiber
-    (NullSetError otherwise); with that, bind(marginal(d, mask), result)
-    reproduces d (law of total probability).
+    Each row is the point mass at its atom times d's conditional law on the
+    complement, so the table from _conditional_table goes through
+    pinned_kernel. Requires d on the full space with strictly positive mass
+    on every fiber (NullSetError otherwise); with that,
+    bind(marginal(d, mask), result) reproduces d (law of total probability).
     """
     if d.domain != d.space.full:
         raise DomainError("conditional kernel needs a full-space distribution")
     d.space._check_mask(mask)
-    n_rows = d.space.n_atoms_of(mask)
-    proj = d.space.atom_projection(d.space.full, mask)
-    onehot = proj[None, :] == np.arange(n_rows, dtype=np.intp)[:, None]
-    masses = onehot @ d.weights
+    law, masses = _conditional_table(d.space, mask, d.weights)
     if masses.min() <= NORM_TOL:
         bad = int(np.argmin(masses))
         raise NullSetError(f"fiber over atom {bad} of mask {mask:#b} has null mass")
-    matrix = onehot * d.weights[None, :] / masses[:, None]
-    return Kernel(d.space, mask, matrix)
+    return pinned_kernel(d.space, mask, law)
 
 
 def pinned_kernel(space: FiniteProductSpace, source: int, rest: np.ndarray) -> Kernel:

@@ -9,6 +9,7 @@ import io
 import json
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 from click.testing import CliRunner
@@ -232,7 +233,7 @@ def test_criterion_10_cli_round_trip_and_demos(tmp_path):
     truth = compile_scm(xor_scm())
     assert np.array_equal(np.array(doc["p"]), truth.observational.weights)
     redumped = dump_json(space_to_document(document_to_space(doc))) + "\n"
-    assert redumped == open(out_path).read()
+    assert redumped == Path(out_path).read_text()
 
     # demo outputs carry the criterion 1-3 values
     alt = json.loads(runner.invoke(cli_main, ["demo", "altitude"]).output)

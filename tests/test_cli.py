@@ -13,10 +13,11 @@ import pytest
 from click.testing import CliRunner
 
 from causalspaces.cli import main
-from causalspaces.compilers import compile_scm, truncated_factorization_oracle
+from causalspaces.compilers import PoSpec, compile_scm, truncated_factorization_oracle
 from causalspaces.documents import (
     document_to_space,
     dump_json,
+    po_to_document,
     read_document,
     scm_to_document,
     space_to_document,
@@ -66,7 +67,7 @@ def test_parse_problems_exit_2(runner, tmp_path):
     assert missing.exit_code == 2
 
 
-def test_non_finite_literals_exit_2(runner, tmp_path):
+def test_non_finite_literals_exit_2(runner, tmp_path, xor_space_path):
     path = tmp_path / "nan.space.json"
     path.write_text(
         '{"components":[{"name":"a","outcomes":["0","1"]}],"p":[NaN,0.5],'
@@ -75,6 +76,30 @@ def test_non_finite_literals_exit_2(runner, tmp_path):
     result = runner.invoke(main, ["validate", str(path)])
     assert result.exit_code == 2
     assert "non-finite number NaN" in result.output
+
+    # literals that overflow a float, an index or int's digit limit
+    documents = {
+        "space.json": read_document(xor_space_path),
+        "scm.json": json.loads(dump_json(scm_to_document(xor_scm()))),
+        "po.json": json.loads(dump_json(po_to_document(PoSpec(("0", "1"), ("0", "1"), np.full(8, 0.125))))),
+    }
+    sites = [
+        ("space.json", lambda d: d["p"]),
+        ("space.json", lambda d: d["kernels"]["0"][1]),
+        ("scm.json", lambda d: d["noises"][0]["weights"]),
+        ("scm.json", lambda d: d["tables"][1][0]),
+        ("po.json", lambda d: d["joint"]),
+    ]
+    for literal in ("1e400", "-1e400", "1" + "0" * 400, "1" + "0" * 5000):
+        for suffix, site in sites:
+            doc = json.loads(json.dumps(documents[suffix]))
+            site(doc)[0] = "@"
+            path = tmp_path / f"big.{suffix}"
+            path.write_text(json.dumps(doc).replace('"@"', literal))
+            command = "validate" if suffix == "space.json" else "compile"
+            result = runner.invoke(main, [command, str(path)])
+            assert result.exit_code == 2, (literal[:6], suffix, result.output)
+            assert "Error: " in result.output
 
 
 def test_python_dash_m_runs_the_cli():
@@ -148,7 +173,7 @@ def test_compile_round_trip_is_bitwise(runner, tmp_path, xor_space_path):
     doc = read_document(xor_space_path)
     assert doc["p"] == list(cs.observational.weights)
     # dumping the reloaded document reproduces the file byte for byte
-    text1 = open(xor_space_path).read()
+    text1 = Path(xor_space_path).read_text()
     text2 = dump_json(space_to_document(document_to_space(doc))) + "\n"
     assert text1 == text2
 

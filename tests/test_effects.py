@@ -32,7 +32,18 @@ from causalspaces.harness import (
     reversibility_counterexample,
     xor_scm,
 )
-from causalspaces.measure import Dist, Event, bind, dirac, rectangle
+from causalspaces.measure import (
+    NORM_TOL,
+    Atom,
+    Dist,
+    Event,
+    bind,
+    condition,
+    dirac,
+    marginal,
+    rectangle,
+)
+from theorem_checks import random_event, suite_space
 
 B = ("0", "1")
 COIN = NoiseTerm(B, (0.5, 0.5))
@@ -307,6 +318,45 @@ def test_source_check_skips_null_atoms():
     c = cs.space.mask_of(["C"])
     assert is_global_source(cs, c)
     assert is_source(cs, c, rectangle(cs.space, {"Y": ["1"]}))
+
+
+def _is_source_by_definition(cs, u, a):
+    """is_source from the definition: each positive-mass atom conditioned on alone."""
+    p = cs.observational
+    masses = marginal(p, u).weights
+    k = cs.mechanism[u].row_values(a)
+    return all(
+        abs(k[i] - a.probability(condition(p, Atom(u, i)))) <= NORM_TOL
+        for i in range(len(masses))
+        if masses[i] > NORM_TOL
+    )
+
+
+def test_is_source_matches_the_definition_on_the_theorem_pool():
+    verdicts = set()
+    for seed in range(200):
+        cs = suite_space(seed)
+        rng = np.random.default_rng(seed)
+        events = [random_event(cs.space, rng) for _ in range(3)]
+        for u in subsets.all_masks(cs.space.n):
+            for a in events:
+                got = is_source(cs, u, a)
+                assert got == _is_source_by_definition(cs, u, a), (seed, bin(u))
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_global_source_is_a_source_of_every_atom_event():
+    verdicts = set()
+    for seed in range(200):
+        cs = suite_space(seed)
+        space = cs.space
+        atoms = [Event(space, space.full, np.arange(space.n_atoms) == i) for i in range(space.n_atoms)]
+        for u in subsets.all_masks(space.n):
+            got = is_global_source(cs, u)
+            assert got == all(is_source(cs, u, a) for a in atoms), (seed, bin(u))
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 # ------------------------------------------------------------- adjustment

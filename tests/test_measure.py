@@ -280,6 +280,8 @@ def test_law_of_total_probability(data):
     k = M.conditional_kernel(d, mask)
     back = M.bind(M.marginal(d, mask), k)
     np.testing.assert_allclose(back.weights, d.weights, atol=1e-9)
+    rows = [M.condition(d, M.Atom(mask, i)).weights for i in range(space.n_atoms_of(mask))]
+    np.testing.assert_allclose(k.matrix, np.stack(rows), rtol=0, atol=1e-15)
 
 
 @given(st.data())
