@@ -36,6 +36,7 @@ from .measure import (
     Kernel,
     _conditional_table,
     _normalise,
+    check_fits,
     marginal,
     pinned_kernel,
 )
@@ -222,6 +223,8 @@ def _pushforward(s: ScmSpec, space: FiniteProductSpace, mask: int,
 def compile_scm(s: ScmSpec) -> CausalSpace:
     """Observational pushforward plus one clamped re-run per subset, all rows at once."""
     space = FiniteProductSpace(tuple((v.name, v.outcomes) for v in s.variables))
+    n_noise = math.prod(len(nz.outcomes) for nz in s.noises)
+    check_fits(8 * space.n_atoms * n_noise, "the (row atom x noise atom) compile grid")
     noise_idx, noise_w = _noise_grid(s)
     kernels = tuple(
         Kernel(space, mask, _pushforward(s, space, mask, noise_idx, noise_w))

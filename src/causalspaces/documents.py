@@ -73,8 +73,8 @@ def _non_finite(name: str):
 def read_document(path: str | Path) -> dict:
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {p}: {exc}") from exc
     try:
         obj = json.loads(text, parse_constant=_non_finite)
@@ -90,7 +90,7 @@ def read_document(path: str | Path) -> dict:
 
 
 def write_document(path: str | Path, obj) -> None:
-    Path(path).write_text(dump_json(obj) + "\n")
+    Path(path).write_text(dump_json(obj) + "\n", encoding="utf-8")
 
 
 def kind_of(path: str | Path) -> str:

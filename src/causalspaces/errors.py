@@ -14,7 +14,7 @@ class NullSetError(CausalSpacesError):
 
 
 class CapError(CausalSpacesError):
-    """Component count exceeds the configured cap."""
+    """An array the input needs is larger than the machine's physical memory."""
 
 
 class ContractError(CausalSpacesError):

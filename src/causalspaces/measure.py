@@ -4,14 +4,17 @@ A space is an ordered product of named finite components. Atoms of the
 sub-product over a component subset S are indexed row-major with component
 index ascending, so every object below is a flat numpy array plus the subset
 mask it lives on. Measures, events and probability kernels are all dense;
-the package trades memory for exhaustive, loop-free semantics.
+the package trades memory for exhaustive, loop-free semantics, and the one
+size rule, check_fits, refuses what physical memory cannot hold (CapError).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -24,22 +27,22 @@ NORM_TOL = 1e-9
 # Constructor window: weights summing within this of 1 are renormalised.
 RENORM_TOL = 1e-6
 
-DEFAULT_MAX_COMPONENTS = 12
-MAX_COMPONENTS_ENV = "CAUSAL_SPACES_MAX_T"
 
-
-def max_components() -> int:
-    """Component cap; the environment variable overrides the default."""
-    raw = os.environ.get(MAX_COMPONENTS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_COMPONENTS
+@functools.cache
+def _physical_memory() -> int | float:
+    """Bytes of physical memory, or inf where sysconf cannot report them."""
     try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise CapError(f"{MAX_COMPONENTS_ENV} must be an int, got {raw!r}") from exc
-    if cap < 1:
-        raise CapError(f"{MAX_COMPONENTS_ENV} must be >= 1, got {cap}")
-    return cap
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+    return pages * size if pages > 0 and size > 0 else math.inf
+
+
+def check_fits(nbytes: int, what: str) -> None:
+    """Refuse, before it is allocated, an array larger than physical memory."""
+    limit = _physical_memory()
+    if nbytes > limit:  # Decimal formats integers beyond float range
+        raise CapError(f"{what} needs {Decimal(nbytes):.3g} bytes; physical memory is {Decimal(limit):.3g}")
 
 
 @dataclass(frozen=True)
@@ -63,9 +66,6 @@ class FiniteProductSpace:
         n = len(self.components)
         if n < 1:
             raise DomainError("a space needs at least one component")
-        cap = max_components()
-        if n > cap:
-            raise CapError(f"{n} components exceeds the cap of {cap}")
         names = [c[0] for c in self.components]
         if len(set(names)) != n:
             raise DomainError(f"component names must be unique, got {names}")
@@ -74,6 +74,8 @@ class FiniteProductSpace:
                 raise DomainError(f"component {name!r} has no outcomes")
             if len(set(outcomes)) != len(outcomes):
                 raise DomainError(f"component {name!r} has duplicate outcomes")
+        # one kernel per subset: prod(1 + k_t) rows of n_atoms float64 entries
+        check_fits(8 * self.n_atoms * math.prod(1 + k for k in self.sizes), f"a mechanism over {n} components")
 
     @property
     def n(self) -> int:
@@ -172,16 +174,10 @@ class FiniteProductSpace:
 
     def fiber_indicators(self, mask: int) -> np.ndarray:
         """Float matrix whose row i flags the full atoms lying over atom i of mask."""
-        key = ("fibers", mask)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        # not cached: kept for every mask, these would hold about a mechanism's bytes
         proj = self.atom_projection(self.full, mask)
         rows = np.arange(self.n_atoms_of(mask), dtype=np.intp)
-        out = (proj[None, :] == rows[:, None]).astype(np.float64)
-        out.setflags(write=False)
-        self._cache[key] = out
-        return out
+        return (proj[None, :] == rows[:, None]).astype(np.float64)
 
     def coords_of(self, mask: int, index: int) -> tuple[int, ...]:
         sizes, strides = self._strides(mask)

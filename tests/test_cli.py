@@ -58,13 +58,20 @@ def test_validate_reports_axiom_violations(runner, tmp_path, xor_space_path):
     assert any(v["subset"] == "0" and v["row"] == 0 for v in report["violations"])
 
 
-def test_parse_problems_exit_2(runner, tmp_path):
+def test_parse_problems_exit_2(runner, tmp_path, xor_space_path):
     mangled = tmp_path / "broken.space.json"
     mangled.write_text('{"components": [,]}')
     result = runner.invoke(main, ["validate", str(mangled)])
     assert result.exit_code == 2
     missing = runner.invoke(main, ["validate", str(tmp_path / "nowhere.space.json")])
     assert missing.exit_code == 2
+    # a component name with a byte that is not UTF-8
+    latin = tmp_path / "latin.space.json"
+    latin.write_bytes(Path(xor_space_path).read_bytes().replace(b'"X"', b'"X\xff"'))
+    result = runner.invoke(main, ["validate", str(latin)])
+    assert result.exit_code == 2, result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and "cannot read" in errors[0]
 
 
 def test_non_finite_literals_exit_2(runner, tmp_path, xor_space_path):
@@ -189,6 +196,37 @@ def test_compile_cycle_reports_trace(runner, tmp_path):
     report = json.loads(result.output)
     assert report["error"] == "CycleError"
     assert "X" in report["trace"]
+
+
+def _chain_document(n_vars, n_outcomes, n_noise):
+    """X_0 <- noise, X_j <- X_{j-1} + noise, modulo the outcome count."""
+    outcomes = [str(i) for i in range(n_outcomes)]
+    noise = {"outcomes": [str(i) for i in range(n_noise)], "weights": [1 / n_noise] * n_noise}
+    tables = [[[z % n_outcomes for z in range(n_noise)]]]
+    tables += [[[(x + z) % n_outcomes for z in range(n_noise)] for x in range(n_outcomes)]] * (n_vars - 1)
+    return {
+        "variables": [{"name": f"X{j}", "outcomes": outcomes} for j in range(n_vars)],
+        "noises": [noise] * n_vars,
+        "parents": [[]] + [[j] for j in range(n_vars - 1)],
+        "tables": tables,
+    }
+
+
+def test_compile_refuses_what_memory_cannot_hold(runner, tmp_path):
+    cases = {
+        # 12 four-outcome variables: a 3.3e16-byte mechanism
+        "wide": _chain_document(12, 4, 4),
+        # 6 binary variables with 200-outcome noises: a 373 KB mechanism but a
+        # 3.3e16-byte (row atom x noise atom) grid
+        "noisy": _chain_document(6, 2, 200),
+    }
+    for name, doc in cases.items():
+        path = tmp_path / f"{name}.scm.json"
+        path.write_text(dump_json(doc) + "\n")
+        result = runner.invoke(main, ["compile", str(path)])
+        assert result.exit_code == 1, (name, result.output)
+        assert json.loads(result.output)["error"] == "CapError", name
+        assert not (tmp_path / f"{name}.space.json").exists()
 
 
 def test_compile_po_emits_mask_alongside(runner, tmp_path):

@@ -151,6 +151,15 @@ def test_conditional_mechanism_row_oracle():
     np.testing.assert_allclose(mech[0b01].matrix[1], [0.0, 0.0, 0.5, 0.5], atol=1e-15)
 
 
+def test_conditional_mechanism_caches_no_dense_matrix():
+    sp = M.FiniteProductSpace(tuple((f"X{t}", ("0", "1", "2")) for t in range(4)))
+    p = M.Dist(sp, sp.full, RNG(0).dirichlet(np.ones(sp.n_atoms)))
+    C.mechanism_from_conditionals(sp, p)
+    # only integer projection tables stay; fiber indicators would rival the mechanism
+    assert sp._cache
+    assert not [k for k, v in sp._cache.items() if v.dtype == np.float64]
+
+
 # ------------------------------------------------------------ intervening
 
 

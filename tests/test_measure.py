@@ -120,15 +120,30 @@ def test_null_conditioning_is_hard_error():
         M.conditional_kernel(d, 0b01)
 
 
-def test_component_cap(monkeypatch):
-    comps = tuple((f"c{t}", ("0", "1")) for t in range(13))
+def test_component_cap():
+    # 13 components of 4 outcomes: a 6.5e17-byte mechanism, beyond any machine
+    comps = tuple((f"c{t}", ("0", "1", "2", "3")) for t in range(13))
     with pytest.raises(CapError):
         M.FiniteProductSpace(comps)
-    monkeypatch.setenv(M.MAX_COMPONENTS_ENV, "13")
-    assert M.FiniteProductSpace(comps).n == 13
-    monkeypatch.setenv(M.MAX_COMPONENTS_ENV, "2")
-    with pytest.raises(CapError):
-        M.FiniteProductSpace(comps[:3])
+    # the rule counts bytes, not components: 13 one-outcome components need 64 KB
+    assert M.FiniteProductSpace(tuple((f"c{t}", ("0",)) for t in range(13))).n == 13
+    # a size beyond float range still makes a one-line CapError
+    with pytest.raises(CapError, match=r"needs 9\.52e\+389 bytes"):
+        M.FiniteProductSpace(tuple((f"c{t}", ("0", "1")) for t in range(500)))
+
+
+def test_size_rule_is_physical_memory(monkeypatch):
+    limit = M._physical_memory()
+    M.check_fits(limit, "an array of exactly physical memory")
+    with pytest.raises(CapError, match="one byte too many needs"):
+        M.check_fits(limit + 1, "one byte too many")
+
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    # where sysconf cannot report the memory, nothing is refused
+    monkeypatch.setattr(M.os, "sysconf", unknown)
+    assert M._physical_memory.__wrapped__() == float("inf")
 
 
 def test_kernel_row_window():
