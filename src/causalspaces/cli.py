@@ -199,9 +199,17 @@ def cmd_compile(path, out_):
     out_path = base + docs.SPACE_SUFFIX if not (out_ or "").endswith(docs.SPACE_SUFFIX) else out_
     result = {"out": out_path}
     if kind == "scm":
-        cs = compile_scm(docs.document_to_scm(doc))
+        spec = docs.document_to_scm(doc)
+        sizes = tuple(len(v.outcomes) for v in spec.variables)
     else:
-        cs, mask = compile_po(docs.document_to_po(doc))
+        spec = docs.document_to_po(doc)
+        sizes = (len(spec.treatments), len(spec.outcomes), len(spec.covariates))
+    # the space document is dense: refuse it before compiling, not after
+    docs.check_document_fits(sizes)
+    if kind == "scm":
+        cs = compile_scm(spec)
+    else:
+        cs, mask = compile_po(spec)
         mask_path = _strip_known_suffix(out_path) + docs.MASK_SUFFIX
         docs.write_document(mask_path, mask.to_json_dict())
         result["mask"] = mask_path

@@ -4,7 +4,8 @@ A structural model is a list of assignments X_j := f_j(parents, noise_j)
 with jointly independent finite noises, supplied in topological order. The
 observational measure is the pushforward of the noise product; the kernel
 for a subset S re-runs the assignments with the S-variables clamped, once
-over every (row atom, noise atom) pair. Nothing else is free: the whole
+over every (row atom, noise atom) pair, and is built directly as its law on
+the complement. Nothing else is free: the whole
 mechanism is determined by the assignments, which is exactly the modelling
 rigidity the rest of the package is built to escape.
 
@@ -194,15 +195,18 @@ def _noise_grid(s: ScmSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _pushforward(s: ScmSpec, space: FiniteProductSpace, mask: int,
                  noise_idx: np.ndarray, noise_w: np.ndarray) -> np.ndarray:
-    """Kernel matrix of the re-run with the mask's variables clamped.
+    """Kernel law of the re-run with the mask's variables clamped.
 
     One pass over the (row atom x noise atom) grid: a clamped variable reads
     the row's coordinate from the projection table, the others run their
-    tables; one bincount scatters the noise weights into (row, atom) cells.
+    tables and place their outcome in the complement atom; one bincount
+    scatters the noise weights into (row, complement atom) cells.
     """
     n_rows = space.n_atoms_of(mask)
-    _, strides = space._strides(space.full)
-    cell = np.arange(n_rows, dtype=np.intp)[:, None] * space.n_atoms
+    rest = space.full & ~mask
+    n_rest = space.n_atoms_of(rest)
+    stride = dict(zip(subsets.indices_of(rest), space._strides(rest)[1]))
+    cell = np.arange(n_rows, dtype=np.intp)[:, None] * n_rest
     cell = cell + np.zeros(len(noise_w), dtype=np.intp)
     vals: list[np.ndarray] = []
     for j in range(len(s.variables)):
@@ -213,24 +217,30 @@ def _pushforward(s: ScmSpec, space: FiniteProductSpace, mask: int,
             for p in s.parents[j]:
                 flat_pa = flat_pa * len(s.variables[p].outcomes) + vals[p]
             v = s.tables[j][flat_pa, noise_idx[:, j]]
+            cell += v * stride[j]
         vals.append(v)
-        cell += v * strides[j]
     weights = np.broadcast_to(noise_w, cell.shape).reshape(-1)
-    out = np.bincount(cell.reshape(-1), weights=weights, minlength=n_rows * space.n_atoms)
-    return out.reshape(n_rows, space.n_atoms)
+    out = np.bincount(cell.reshape(-1), weights=weights, minlength=n_rows * n_rest)
+    return out.reshape(n_rows, n_rest)
 
 
 def compile_scm(s: ScmSpec) -> CausalSpace:
     """Observational pushforward plus one clamped re-run per subset, all rows at once."""
     space = FiniteProductSpace(tuple((v.name, v.outcomes) for v in s.variables))
     n_noise = math.prod(len(nz.outcomes) for nz in s.noises)
-    check_fits(8 * space.n_atoms * n_noise, "the (row atom x noise atom) compile grid")
+    # peak: the noise grid (an index per variable and a weight per noise
+    # atom), the laws, and the largest _pushforward pass, which holds per
+    # cell of its (row atom x noise atom) grid a cell index, a weight, two
+    # temporaries and a value per variable it re-runs
+    per_noise = max(space.n_atoms_of(m) * (space.n - m.bit_count() + 4) for m in subsets.all_masks(space.n))
+    peak = n_noise * (space.n + 1 + per_noise) + space.n_atoms * 2**space.n
+    check_fits(8 * peak, "compiling (the noise grid, the row atom x noise atom grids and the laws)")
     noise_idx, noise_w = _noise_grid(s)
     kernels = tuple(
-        Kernel(space, mask, _pushforward(s, space, mask, noise_idx, noise_w))
+        Kernel(space, mask, law=_pushforward(s, space, mask, noise_idx, noise_w))
         for mask in subsets.all_masks(space.n)
     )
-    p = Dist(space, space.full, kernels[0].matrix[0])
+    p = Dist(space, space.full, kernels[0].law[0])
     return CausalSpace(space, p, CausalMechanism(space, kernels))
 
 

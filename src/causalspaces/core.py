@@ -10,12 +10,18 @@ inputs (for example loaded documents) can be inspected and reported:
     the row's own atom (finite form of the interventional consistency
     requirement: the kernel cannot move the coordinates it is given).
 
+Kernels are stored as their laws on the complement (measure.Kernel), which
+holds the second property by construction for every kernel except one
+built from dense rows that leak off their fibers; validation reads those
+rows, and the law's row totals for the rest.
+
 Intervening on a subset U replaces mass on the U-coordinates by a supplied
 measure and re-routes every kernel through the joint kernel of the union.
 Generic and hard interventions share one rewrite loop and differ only in the
-weights it mixes the union rows with; a kernel whose subset contains U is
-kept as the same object. The trivial mechanism is built a subset at a time
-with measure.pinned_kernel: each row is its point mass times q's marginal.
+weights it multiplies the union law with; a kernel whose subset contains U
+is kept as the same object. The trivial mechanism is built a subset at a
+time with measure.pinned_kernel: each row is its point mass times q's
+marginal.
 """
 
 from __future__ import annotations
@@ -109,33 +115,35 @@ class ValidationReport:
 def validate_causal_space(cs: CausalSpace, tol: float = NORM_TOL) -> ValidationReport:
     """Check both defining properties, reporting every violating triple.
 
-    For each subset S the row measures are marginalised onto S in one
-    reshape-sum; a valid row is the point mass at its own atom, so the
-    stacked marginals must equal the identity matrix.
+    A valid row of the subset-S kernel marginalises onto S as the point mass
+    at its own atom. A law row puts all its mass on its own fiber, so only
+    its total can miss 1. A kernel that kept leaky dense rows has its rows
+    marginalised onto every S atom, and the stacked marginals must equal
+    the identity matrix.
     """
     check_tol(tol)
     out: list[Violation] = []
     space = cs.space
-    base = cs.mechanism[0].matrix[0]
+    base = cs.mechanism[0].law[0]
     diff = np.abs(base - cs.observational.weights)
     if diff.max() > tol:
         at = int(np.argmax(diff))
         out.append(Violation(0, 0, "base-measure-mismatch", at, float(diff.max())))
-    sizes = space.sizes
     for mask in subsets.all_masks(space.n):
         if mask == 0:
             continue
         k = cs.mechanism[mask]
-        keep = tuple(subsets.bits(mask))
-        drop = tuple(t for t in range(space.n) if t not in keep)
-        shaped = k.matrix.reshape((k.matrix.shape[0],) + tuple(sizes))
-        marg = shaped.sum(axis=tuple(1 + t for t in drop)).reshape(k.matrix.shape[0], -1)
-        dev = np.abs(marg - np.eye(marg.shape[0]))
-        rows, cols = np.nonzero(dev > tol)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            out.append(
-                Violation(mask, r, "row-marginal-not-point-mass", c, float(dev[r, c]))
-            )
+        if k.leaky_rows is None:
+            dev = np.abs(k.law.sum(axis=1) - 1.0)
+            rows = cols = np.nonzero(dev > tol)[0]
+            errors = dev[rows]
+        else:
+            marg = k.leaky_rows @ space.fiber_indicators(mask).T
+            dev = np.abs(marg - np.eye(marg.shape[0]))
+            rows, cols = np.nonzero(dev > tol)
+            errors = dev[rows, cols]
+        for r, c, e in zip(rows.tolist(), cols.tolist(), errors.tolist()):
+            out.append(Violation(mask, r, "row-marginal-not-point-mass", c, e))
     return ValidationReport(tuple(out))
 
 
@@ -229,31 +237,31 @@ def _check_spec(cs: CausalSpace, spec: InterventionSpec) -> None:
         )
 
 
-def _rewrite(
-    cs: CausalSpace, u: int, q: Dist, mix: Callable[[int, int], np.ndarray]
-) -> CausalSpace:
+def _rewrite(cs: CausalSpace, u: int, q: Dist, mix: Callable[[int], np.ndarray]) -> CausalSpace:
     """The one intervention loop: q bound through K_U, every kernel re-routed.
 
     For S containing U the kernel is kept as is (Remark D.1(a)). Otherwise,
-    with fresh = U minus S, mix(S&U, fresh) weighs the union rows per
-    (S&U atom, fresh atom):
+    with fresh = U minus S, mix(S&U) weighs the union rows: a weight for each
+    atom of U, read at its (S&U atom, fresh atom) coordinates.
 
         k_new(w, A) = sum_f mix(w on S&U, f) k(S|U)((w, f), A)
+
+    The union row (w, f) puts its mass on its own fiber, so on laws the sum
+    has one term: a full atom over w is (w, f, c), with c outside the union,
+    and it gets the mix weight of (w on S&U, f) times its own cell of the
+    union law (Kernel.on_atoms). Gathering that product into the S table
+    gives the new law.
     """
     space = cs.space
-    mix = functools.cache(mix)  # one call per S&U; fresh is U minus it
+    to_u = space.atom_projection(space.full, u)
+    spread = functools.cache(lambda inside: mix(inside)[to_u])  # one call per S&U
     kernels: list[Kernel] = []
     for s in subsets.all_masks(space.n):
-        fresh = u & ~s
-        if not fresh:
+        if not u & ~s:
             kernels.append(cs.mechanism[s])
             continue
-        union = s | u
-        e_s = space.atom_embedding(s, union)
-        # union kernel rows arranged as (S atom, fresh atom, column)
-        gathered = cs.mechanism[union].matrix[e_s[:, None] + space.atom_embedding(fresh, union)]
-        weights = mix(s & u, fresh)[space.atom_projection(s, s & u)]
-        kernels.append(Kernel(space, s, np.einsum("sf,sfo->so", weights, gathered)))
+        on_atoms = spread(s & u) * cs.mechanism[s | u].on_atoms()
+        kernels.append(pinned_kernel(space, s, on_atoms[space.law_cells(s)]))
     return CausalSpace(space, bind(q, cs.mechanism[u]), CausalMechanism(space, tuple(kernels)))
 
 
@@ -266,10 +274,11 @@ def intervene(cs: CausalSpace, spec: InterventionSpec) -> CausalSpace:
 
         k_new(w, A) = sum_{u'} internal(w on S&U, u') k(S|U)((w off U, u'), A)
 
-    Only columns u' that agree with w on S&U enter the sum; off-block mass up
-    to NORM_TOL from a tolerance-valid internal mechanism is dropped. The new
-    observational measure is measure bound through the U-kernel. Intervening
-    on the empty subset returns an identical space.
+    Only columns u' that agree with w on S&U enter the sum, which is what
+    the internal kernel's law holds; off-block mass up to NORM_TOL from a
+    tolerance-valid internal mechanism is dropped. The new observational
+    measure is measure bound through the U-kernel. Intervening on the empty
+    subset returns an identical space.
     """
     _check_spec(cs, spec)
     u = spec.subset
@@ -277,13 +286,11 @@ def intervene(cs: CausalSpace, spec: InterventionSpec) -> CausalSpace:
         return CausalSpace(cs.space, cs.observational, cs.mechanism)
     if spec.internal is HARD:
         return intervene_hard(cs, u, spec.measure)
-    space = cs.space
     internal = spec.internal
 
-    def mix(inside: int, fresh: int) -> np.ndarray:
-        block = internal.mechanism[subsets.local_mask(inside, u)].matrix
-        cols = space.atom_embedding(inside, u)[:, None] + space.atom_embedding(fresh, u)
-        return np.take_along_axis(block, cols, axis=1)
+    def mix(inside: int) -> np.ndarray:
+        # the internal kernel's law over the atoms of U
+        return internal.mechanism[subsets.local_mask(inside, u)].on_atoms()
 
     return _rewrite(cs, u, spec.measure, mix)
 
@@ -307,8 +314,8 @@ def intervene_hard(cs: CausalSpace, u: int, q: Dist) -> CausalSpace:
     if u == 0:
         return CausalSpace(cs.space, cs.observational, cs.mechanism)
 
-    def mix(inside: int, fresh: int) -> np.ndarray:
-        w = marginal(q, fresh).weights
-        return np.broadcast_to(w, (space.n_atoms_of(inside), len(w)))
+    def mix(inside: int) -> np.ndarray:
+        fresh = u & ~inside
+        return marginal(q, fresh).weights[space.atom_projection(u, fresh)]
 
     return _rewrite(cs, u, q, mix)

@@ -15,6 +15,7 @@ read 1e400 as inf and keep a 400-digit integer that no float can hold.
 from __future__ import annotations
 
 import json
+import math
 import re
 from itertools import chain
 from pathlib import Path
@@ -25,7 +26,7 @@ from . import subsets
 from .compilers import NoiseTerm, PoSpec, ScmSpec, ScmVariable
 from .core import CausalMechanism, CausalSpace, mechanism_from_conditionals
 from .errors import DocumentError, DomainError
-from .measure import Dist, Event, FiniteProductSpace, Kernel, rectangle
+from .measure import Dist, Event, FiniteProductSpace, Kernel, check_fits, rectangle
 
 SPACE_SUFFIX = ".space.json"
 SCM_SUFFIX = ".scm.json"
@@ -175,7 +176,20 @@ def subset_key(mask: int) -> str:
     return ",".join(str(i) for i in subsets.indices_of(mask))
 
 
+def check_document_fits(sizes: tuple[int, ...]) -> None:
+    """Refuse, before building it, a space document memory cannot hold.
+
+    A document lists every kernel's dense rows, n_atoms * prod(1 + k_t)
+    numbers over components of k_t outcomes, however small the laws are.
+    Writing one holds them as floats and, while the text is encoded, twice
+    as text of at least 5 bytes a number ("0.0, "): 18 bytes a number.
+    """
+    numbers = math.prod(sizes) * math.prod(1 + k for k in sizes)
+    check_fits(18 * numbers, f"a space document of {numbers} numbers")
+
+
 def space_to_document(cs: CausalSpace) -> dict:
+    check_document_fits(cs.space.sizes)
     return {
         "components": [
             {"name": n, "outcomes": list(outs)} for n, outs in cs.space.components

@@ -15,6 +15,9 @@ Every "no effect" question (classify_effect, classify_effect_on_subset,
 has_no_effect_given, activate_dormant) runs through one scan,
 _first_disagreement, which returns the first (subset, row) where a kernel
 and the kernel forgetting U's part disagree; activate_dormant pins that row.
+The scan integrates event columns against each kernel's law
+(Kernel.integrate): one event's indicator, or the atom indicators of a
+subset.
 
 Likewise every source question (is_source, is_global_source and the
 local-source case of adjustment_estimate) runs through one check,
@@ -63,8 +66,8 @@ def _first_disagreement(cs: CausalSpace, pairs, cols: np.ndarray, tol: float):
     """
     space = cs.space
     for big, small in pairs:
-        vb = cs.mechanism[big].matrix @ cols
-        vs = cs.mechanism[small].matrix @ cols
+        vb = cs.mechanism[big].integrate(cols)
+        vs = cs.mechanism[small].integrate(cols)
         diff = np.abs(vb - vs[space.atom_projection(big, small)])
         if diff.max() > tol:
             return big, int(np.unravel_index(np.argmax(diff), diff.shape)[0])
@@ -82,7 +85,7 @@ def _classify(cs: CausalSpace, u: int, cols: np.ndarray, tol: float):
     hit = _first_disagreement(cs, pairs, cols, tol)
     if hit is None:
         return EffectClass.NONE, None
-    vu = cs.mechanism[u].matrix @ cols
+    vu = cs.mechanism[u].integrate(cols)
     if np.abs(vu - cs.observational.weights @ cols).max() > tol:
         return EffectClass.ACTIVE, hit
     return EffectClass.DORMANT, hit
@@ -186,7 +189,7 @@ def _is_source_on(cs: CausalSpace, u: int, cols: np.ndarray, tol: float) -> bool
     if not ok.any():
         return True
     cols = cols.reshape(p.shape[0], -1)
-    vals = (cs.mechanism[u].matrix @ cols)[ok]
+    vals = cs.mechanism[u].integrate(cols)[ok]
     cond = (fibers @ (p[:, None] * cols))[ok] / masses[ok, None]
     return bool(np.abs(vals - cond).max() <= tol)
 

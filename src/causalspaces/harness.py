@@ -132,12 +132,12 @@ def monte_carlo_intervention(
     if samples < 1:
         raise DomainError("need at least one sample")
     rng = np.random.default_rng(seed)
-    k = cs.mechanism[u]
+    rows = cs.mechanism[u].matrix
     counts = rng.multinomial(samples, q.weights)
     out = np.zeros(cs.space.n_atoms)
     for i, c in enumerate(counts):
         if c:
-            out += rng.multinomial(int(c), k.matrix[i])
+            out += rng.multinomial(int(c), rows[i])
     return Dist(cs.space, cs.space.full, out / samples)
 
 
@@ -283,7 +283,7 @@ def _composition_space(coupling: float) -> CausalSpace:
                 w[flat] = weight
             rows[i] = w
         kernels.append(Kernel(space, s, rows))
-    p = Dist(space, space.full, kernels[0].matrix[0])
+    p = Dist(space, space.full, kernels[0].law[0])
     return CausalSpace(space, p, CausalMechanism(space, tuple(kernels)))
 
 

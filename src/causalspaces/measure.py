@@ -1,11 +1,16 @@
-"""Finite product sample spaces and dense measures on them.
+"""Finite product sample spaces and the measures and kernels on them.
 
 A space is an ordered product of named finite components. Atoms of the
 sub-product over a component subset S are indexed row-major with component
 index ascending, so every object below is a flat numpy array plus the subset
-mask it lives on. Measures, events and probability kernels are all dense;
-the package trades memory for exhaustive, loop-free semantics, and the one
-size rule, check_fits, refuses what physical memory cannot hold (CapError).
+mask it lives on. Measures and events are dense over their sub-product. A
+probability kernel from S is stored as its law: a (S atom x complement atom)
+table, since every row of a causal kernel is the point mass at its own
+S-atom times a law on the other components. That is 8 * n_atoms bytes per
+kernel whatever S is, and 8 * n_atoms * 2^n for a mechanism; the dense
+(S atom x full atom) rows are a view derived on demand. The package trades
+memory for exhaustive, loop-free semantics, and the one size rule,
+check_fits, refuses what physical memory cannot hold (CapError).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from decimal import Decimal
 from typing import Iterable, Mapping
 
@@ -74,8 +79,9 @@ class FiniteProductSpace:
                 raise DomainError(f"component {name!r} has no outcomes")
             if len(set(outcomes)) != len(outcomes):
                 raise DomainError(f"component {name!r} has duplicate outcomes")
-        # one kernel per subset: prod(1 + k_t) rows of n_atoms float64 entries
-        check_fits(8 * self.n_atoms * math.prod(1 + k for k in self.sizes), f"a mechanism over {n} components")
+        # per subset, a kernel law of n_atoms floats and its cached law_cells
+        # table of n_atoms indices
+        check_fits(16 * self.n_atoms * 2**n, f"a mechanism over {n} components")
 
     @property
     def n(self) -> int:
@@ -172,6 +178,25 @@ class FiniteProductSpace:
         """
         return self._recode(part, part, into)
 
+    def law_cells(self, source: int) -> np.ndarray:
+        """Full atom at each cell of a (source atom x complement atom) table.
+
+        Full atoms are row-major over all components, so moving the source's
+        axes to the front and flattening each group gives the table. Cached
+        like the projection tables: n_atoms indices per source, which the
+        size rule counts beside the laws.
+        """
+        key = ("law", source)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        axes = subsets.indices_of(source) + subsets.indices_of(self.full & ~source)
+        flat = np.arange(self.n_atoms, dtype=np.intp).reshape(self.sizes).transpose(axes)
+        out = flat.reshape(self.n_atoms_of(source), -1)
+        out.setflags(write=False)
+        self._cache[key] = out
+        return out
+
     def fiber_indicators(self, mask: int) -> np.ndarray:
         """Float matrix whose row i flags the full atoms lying over atom i of mask."""
         # not cached: kept for every mask, these would hold about a mechanism's bytes
@@ -222,20 +247,41 @@ class Atom:
     index: int
 
 
-def _normalise(weights: np.ndarray, what: str) -> np.ndarray:
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, read-only for good, without copying where that is safe.
+
+    An array that owns its data is frozen in place, and so is a view of
+    memory that is already read-only; a view of writable memory is copied,
+    since its owner could still write through it.
+    """
+    root = a
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    if root.base is not None or (root is not a and root.flags.writeable):
+        a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+def _normalise(weights: np.ndarray, what: str, copy: bool = True) -> np.ndarray:
     """Shared constructor rule for measure weights, along the last axis.
 
     Each weight vector (a 1-D array, or every row of a matrix) is accepted
     unchanged when its total is within NORM_TOL of 1 (keeps dump/parse
     round-trips bitwise stable), renormalised when within RENORM_TOL,
     rejected beyond that. NaN weights and negative weights beyond -NORM_TOL
-    are rejected; tiny negative float noise is clamped to zero.
+    are rejected; tiny negative float noise is clamped to zero. With
+    copy=False, a float64 array that needs no change is returned as given.
     """
-    w = np.array(weights, dtype=np.float64)
+    w = np.array(weights, dtype=np.float64) if copy else np.asarray(weights, dtype=np.float64)
+    low = w.min(initial=0.0)
     # written so that NaN fails the window checks
-    if not w.min(initial=0.0) >= -NORM_TOL:
-        raise DomainError(f"{what} has negative or NaN weight {w.min()}")
-    np.clip(w, 0.0, None, out=w)
+    if not low >= -NORM_TOL:
+        raise DomainError(f"{what} has negative or NaN weight {low}")
+    owned = copy
+    if low < 0.0:
+        w = np.clip(w, 0.0, None, out=w if owned else None)
+        owned = True
     sums = w.sum(axis=-1, keepdims=True)
     off = np.abs(sums - 1.0)
     if not off.max(initial=0.0) <= RENORM_TOL:
@@ -244,7 +290,9 @@ def _normalise(weights: np.ndarray, what: str) -> np.ndarray:
         raise DomainError(
             f"{where} weights sum to {float(sums.flat[bad])!r}, outside the 1e-6 window"
         )
-    np.divide(w, sums, out=w, where=off > NORM_TOL)
+    fix = off > NORM_TOL
+    if fix.any():
+        w = np.divide(w, sums, out=w if owned else w.copy(), where=fix)
     return w
 
 
@@ -444,37 +492,99 @@ def rectangle(space: FiniteProductSpace, allowed: Mapping[str, Iterable[str]]) -
 class Kernel:
     """Probability kernel from the sub-product over source into the space.
 
-    matrix[i] is the row measure attached to atom i of the source product;
-    rows are full-space weight vectors. Row validity (the Dist constructor
-    rule) is enforced here; the Dirac-marginal determinism property is the
-    business of validate_causal_space, so that broken inputs can be loaded
-    and reported instead of crashing the loader.
+    Its row at a source atom w is the point mass at w times a law on the
+    complement's atoms (the interventional-determinism axiom), so the kernel
+    is stored as law, a read-only (source atom x complement atom) table of
+    n_atoms float64 entries. Build one from that table with
+    Kernel(space, source, law=table) or pinned_kernel, which freeze a table
+    that owns its data in place instead of copying it, or from dense rows
+    over the full atoms with Kernel(space, source, rows). matrix is the
+    dense view, rebuilt on every access.
+
+    Row validity (the Dist constructor rule) is enforced here; whether each
+    row sits on its own fiber is the business of validate_causal_space, so
+    that broken inputs can be loaded and reported instead of crashing the
+    loader. Dense rows that put mass off their own fiber make an invalid
+    kernel: it keeps them verbatim as leaky_rows, which only
+    validate_causal_space and matrix read, while every other operation reads
+    the on-fiber law. The CLI refuses such a space before do and classify.
     """
 
     space: FiniteProductSpace
     source: int
-    matrix: np.ndarray
+    rows: InitVar[np.ndarray | None] = None
+    law: np.ndarray | None = None
+    leaky_rows: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        self.space._check_mask(self.source)
-        m = np.asarray(self.matrix, dtype=np.float64)
-        want = (self.space.n_atoms_of(self.source), self.space.n_atoms)
-        if m.shape != want:
-            raise DomainError(f"kernel matrix shape {m.shape}, expected {want}")
-        m = _normalise(m, "kernel")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+    def __post_init__(self, rows):
+        space = self.space
+        space._check_mask(self.source)
+        shape = (space.n_atoms_of(self.source), space.n_atoms_of(space.full & ~self.source))
+        if (rows is None) == (self.law is None):
+            raise DomainError("a kernel needs either dense rows or its law")
+        if rows is None:
+            law = np.asarray(self.law, dtype=np.float64)
+            if law.shape != shape:
+                raise DomainError(f"kernel law shape {law.shape}, expected {shape}")
+            law = _frozen(_normalise(law, "kernel", copy=False))
+        else:
+            m = np.asarray(rows, dtype=np.float64)
+            want = (shape[0], space.n_atoms)
+            if m.shape != want:
+                raise DomainError(f"kernel matrix shape {m.shape}, expected {want}")
+            m = _normalise(m, "kernel")
+            law = m[np.arange(shape[0])[:, None], space.law_cells(self.source)]
+            if np.count_nonzero(law) != np.count_nonzero(m):
+                m.setflags(write=False)
+                object.__setattr__(self, "leaky_rows", m)
+            law.setflags(write=False)
+        object.__setattr__(self, "law", law)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense (source atom x full atom) rows, built on each access.
+
+        Leaky dense rows are returned as they were given.
+        """
+        if self.leaky_rows is not None:
+            return self.leaky_rows
+        n_rows = self.law.shape[0]
+        m = np.zeros((n_rows, self.space.n_atoms))
+        m[np.arange(n_rows)[:, None], self.space.law_cells(self.source)] = self.law
+        return m
+
+    def on_atoms(self) -> np.ndarray:
+        """The law over the full atoms: each atom's weight in its own fiber's row."""
+        out = np.empty(self.space.n_atoms)
+        out[self.space.law_cells(self.source)] = self.law
+        return out
 
     def row_values(self, a: Event) -> np.ndarray:
         """k(atom, a) for every source atom, as one vector."""
-        return self.matrix @ a.indicator()
+        return self.integrate(a.indicator())
+
+    def integrate(self, cols: np.ndarray) -> np.ndarray:
+        """Integral of cols under every row, read from the law.
+
+        cols is a function of the full atoms (an event's indicator), or a
+        matrix of such functions as columns. It is gathered into a (source
+        atom x complement atom) table and summed against each law row.
+        """
+        table = np.take(cols, self.space.law_cells(self.source), axis=0)
+        return np.einsum("wc,wc...->w...", self.law, table)
 
 
 def bind(q: Dist, k: Kernel) -> Dist:
-    """Measure A -> sum_w q(w) k(w, A); q must live on the kernel source."""
+    """Measure A -> sum_w q(w) k(w, A); q must live on the kernel source.
+
+    Each full atom lies over one source atom w, so its mass is q(w) times
+    its cell of the law.
+    """
     if q.space != k.space or q.domain != k.source:
         raise DomainError("bound measure must live on the kernel source")
-    return Dist(q.space, q.space.full, q.weights @ k.matrix)
+    w = np.empty(q.space.n_atoms)
+    w[q.space.law_cells(k.source)] = q.weights[:, None] * k.law
+    return Dist(q.space, q.space.full, w)
 
 
 def _conditional_table(space: FiniteProductSpace, mask: int, w: np.ndarray):
@@ -483,9 +593,7 @@ def _conditional_table(space: FiniteProductSpace, mask: int, w: np.ndarray):
     Returns the table and the fiber masses. A row whose mass is not above
     NORM_TOL keeps w's raw slice, for the caller to reject or complete.
     """
-    rest = space.full & ~mask
-    table = np.empty((space.n_atoms_of(mask), space.n_atoms_of(rest)))
-    table[space.atom_projection(space.full, mask), space.atom_projection(space.full, rest)] = w
+    table = w[space.law_cells(mask)]
     masses = space.fiber_indicators(mask) @ w
     ok = masses > NORM_TOL
     table[ok] /= masses[ok, None]
@@ -496,10 +604,10 @@ def conditional_kernel(d: Dist, mask: int) -> Kernel:
     """Kernel whose rows are d conditioned on each atom of the mask product.
 
     Each row is the point mass at its atom times d's conditional law on the
-    complement, so the table from _conditional_table goes through
-    pinned_kernel. Requires d on the full space with strictly positive mass
-    on every fiber (NullSetError otherwise); with that,
-    bind(marginal(d, mask), result) reproduces d (law of total probability).
+    complement, so the table from _conditional_table is the kernel's law.
+    Requires d on the full space with strictly positive mass on every fiber
+    (NullSetError otherwise); with that, bind(marginal(d, mask), result)
+    reproduces d (law of total probability).
     """
     if d.domain != d.space.full:
         raise DomainError("conditional kernel needs a full-space distribution")
@@ -511,26 +619,24 @@ def conditional_kernel(d: Dist, mask: int) -> Kernel:
     return pinned_kernel(d.space, mask, law)
 
 
-def pinned_kernel(space: FiniteProductSpace, source: int, rest: np.ndarray) -> Kernel:
+def pinned_kernel(space: FiniteProductSpace, source: int, law: np.ndarray) -> Kernel:
     """Kernel whose row at a source atom is the point mass there times a law.
 
-    rest is one law over the complement's atoms, shared by every row, or one
-    such law per source atom. Each full atom lies over one source atom, so
-    one scatter along the projection tables fills the rows. As in
-    product_weights, a factor on the empty mask contributes nothing.
+    law is one law over the complement's atoms, shared by every row (kept
+    as a broadcast view), or one such law per source atom. An array that
+    owns its data becomes the kernel's table without a copy and is made
+    read-only; a view of writable memory is copied first. As in
+    product_weights, a factor on the empty mask contributes nothing, so on
+    the full source every row is its point mass.
     """
     space._check_mask(source)
-    comp = space.full & ~source
-    n_rows, n_rest = space.n_atoms_of(source), space.n_atoms_of(comp)
-    rest = np.asarray(rest, dtype=np.float64)
-    if rest.shape not in ((n_rest,), (n_rows, n_rest)):
-        raise DomainError(f"rest shape {rest.shape}, expected ({n_rest},) or ({n_rows}, {n_rest})")
-    at = space.atom_projection(space.full, source)
-    law = np.broadcast_to(rest, (n_rows, n_rest))
-    matrix = np.zeros((n_rows, space.n_atoms))
-    cols = np.arange(space.n_atoms)
-    matrix[at, cols] = law[at, space.atom_projection(space.full, comp)] if comp else 1.0
-    return Kernel(space, source, matrix)
+    shape = (space.n_atoms_of(source), space.n_atoms_of(space.full & ~source))
+    law = np.asarray(law, dtype=np.float64)
+    if law.shape not in (shape[1:], shape):
+        raise DomainError(f"rest shape {law.shape}, expected ({shape[1]},) or {shape}")
+    if source == space.full:
+        law = np.ones(shape)
+    return Kernel(space, source, law=np.broadcast_to(_frozen(law), shape))
 
 
 def tv_distance(a: Dist, b: Dist) -> float:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from causalspaces import measure
 from causalspaces.cli import main
 from causalspaces.compilers import PoSpec, compile_scm, truncated_factorization_oracle
 from causalspaces.documents import (
@@ -212,20 +213,26 @@ def _chain_document(n_vars, n_outcomes, n_noise):
     }
 
 
-def test_compile_refuses_what_memory_cannot_hold(runner, tmp_path):
+def test_compile_refuses_what_memory_cannot_hold(runner, tmp_path, monkeypatch):
+    # judged against an 8 GiB machine, whatever this one has
+    monkeypatch.setattr(measure, "_physical_memory", lambda: 8 * 2**30)
     cases = {
-        # 12 four-outcome variables: a 3.3e16-byte mechanism
-        "wide": _chain_document(12, 4, 4),
-        # 6 binary variables with 200-outcome noises: a 373 KB mechanism but a
-        # 3.3e16-byte (row atom x noise atom) grid
-        "noisy": _chain_document(6, 2, 200),
+        # 12 four-outcome variables: 5.5e11 bytes of laws, a 7.4e16-byte document
+        "wide": (_chain_document(12, 4, 4), "space document"),
+        # 6 binary variables with 200-outcome noises: a 32 KB mechanism but
+        # 6.9e16 bytes of noise and (row atom x noise atom) grids
+        "noisy": (_chain_document(6, 2, 200), "compiling"),
+        # 12 binary variables: 134 MB of laws compile, but the document lists
+        # 4096 * 3^12 dense numbers, 3.9e10 bytes to write; refused before compiling
+        "binary": (_chain_document(12, 2, 2), "space document"),
     }
-    for name, doc in cases.items():
+    for name, (doc, what) in cases.items():
         path = tmp_path / f"{name}.scm.json"
         path.write_text(dump_json(doc) + "\n")
         result = runner.invoke(main, ["compile", str(path)])
         assert result.exit_code == 1, (name, result.output)
-        assert json.loads(result.output)["error"] == "CapError", name
+        out = json.loads(result.output)
+        assert out["error"] == "CapError" and what in out["detail"], (name, out)
         assert not (tmp_path / f"{name}.space.json").exists()
 
 

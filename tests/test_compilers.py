@@ -4,11 +4,14 @@ The central check is differential: the vectorised clamped-rerun kernels
 against the plain-Python noise-enumeration oracle, which share no code.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalspaces import compilers
 from causalspaces.compilers import (
     MaskEntry,
     NoiseTerm,
@@ -250,6 +253,31 @@ def test_every_kernel_row_matches_oracle(make):
         for i in range(matrix.shape[0]):
             want = truncated_factorization_oracle(s, space.labels_of(Atom(mask, i)))
             np.testing.assert_array_equal(matrix[i], want.weights)
+
+
+def _chain(n):
+    return [()] + [(j - 1,) for j in range(1, n)]
+
+
+def test_compile_counts_its_peak(monkeypatch):
+    """The bytes compile_scm asks the size rule about cover what it allocates."""
+    asked = []
+    check = compilers.check_fits
+    monkeypatch.setattr(compilers, "check_fits", lambda nbytes, what: (asked.append(nbytes), check(nbytes, what)))
+    s = random_tables_scm(0, _chain(6), 2, 6)  # 6^6 noise atoms
+    tracemalloc.start()
+    try:
+        compile_scm(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert asked and peak <= max(asked), (peak, asked)
+
+
+def test_mechanism_is_stored_as_laws():
+    cs = compile_scm(random_tables_scm(1, _chain(9), 2, 2))
+    # 2^9 kernels of 2^9 float64 entries each: 8 * 4^9 bytes, where dense rows need 8 * 6^9
+    assert sum(k.law.nbytes for k in cs.mechanism.kernels) == 2_097_152
 
 
 @settings(max_examples=20, deadline=None)

@@ -121,15 +121,18 @@ def test_null_conditioning_is_hard_error():
 
 
 def test_component_cap():
-    # 13 components of 4 outcomes: a 6.5e17-byte mechanism, beyond any machine
+    # the rule counts the laws and their cached law cells, 16 * n_atoms * 2^n
+    # bytes: 13 components of 4 outcomes need 8.8e12
     comps = tuple((f"c{t}", ("0", "1", "2", "3")) for t in range(13))
-    with pytest.raises(CapError):
+    with pytest.raises(CapError, match=r"needs 8\.80e\+12 bytes"):
         M.FiniteProductSpace(comps)
-    # the rule counts bytes, not components: 13 one-outcome components need 64 KB
+    # 12 binary components need 268 MB (17.4 GB as dense rows)
+    assert M.FiniteProductSpace(tuple((f"c{t}", ("0", "1")) for t in range(12))).n == 12
+    # the rule counts bytes, not components: 13 one-outcome components need 128 KB
     assert M.FiniteProductSpace(tuple((f"c{t}", ("0",)) for t in range(13))).n == 13
     # a size beyond float range still makes a one-line CapError
-    with pytest.raises(CapError, match=r"needs 9\.52e\+389 bytes"):
-        M.FiniteProductSpace(tuple((f"c{t}", ("0", "1")) for t in range(500)))
+    with pytest.raises(CapError, match=r"needs 1\.90e\+390 bytes"):
+        M.FiniteProductSpace(tuple((f"c{t}", ("0", "1", "2")) for t in range(500)))
 
 
 def test_size_rule_is_physical_memory(monkeypatch):
@@ -158,6 +161,66 @@ def test_kernel_nan_rejected():
     sp = grid22()
     with pytest.raises(DomainError, match="NaN"):
         M.Kernel(sp, 0, [[np.nan, 1.0, 0.0, 0.0]])
+
+
+def test_law_kernel_keeps_its_table_read_only():
+    sp = grid232()
+    law = np.full((6, 2), 0.5)
+    k = M.Kernel(sp, 0b011, law=law)
+    # an array that owns its data is frozen in place, so no one can write to the kernel
+    assert k.law is law and not law.flags.writeable
+    assert k.leaky_rows is None
+    # a view of writable memory is copied, since its owner could still write through it
+    owner = np.full((6, 3), 0.5)
+    for view in (owner[:, :2], np.broadcast_to(owner[0, :2], (6, 2))):
+        k = M.Kernel(sp, 0b011, law=view)
+        assert not np.shares_memory(k.law, owner) and not k.law.flags.writeable
+    assert owner.flags.writeable
+    # pinned_kernel keeps one shared law as a broadcast view of its frozen self
+    shared = np.array([0.25, 0.75])
+    k = M.pinned_kernel(sp, 0b011, shared)
+    assert np.shares_memory(k.law, shared) and not shared.flags.writeable
+    with pytest.raises(DomainError, match=r"kernel law shape \(6, 3\), expected \(6, 2\)"):
+        M.Kernel(sp, 0b011, law=np.full((6, 3), 1 / 3))
+    with pytest.raises(DomainError, match="either dense rows or its law"):
+        M.Kernel(sp, 0b011)
+    with pytest.raises(DomainError, match="either dense rows or its law"):
+        M.Kernel(sp, 0b011, k.matrix, law=law)
+    with pytest.raises(DomainError, match="kernel row 1 weights sum to"):
+        M.Kernel(sp, 0b011, law=[[0.5, 0.5], [0.5, 0.4]] + [[0.5, 0.5]] * 4)
+
+
+def test_dense_rows_become_a_law_unless_they_leak():
+    sp = grid232()
+    rng = np.random.default_rng(3)
+    law = rng.dirichlet(np.ones(3), size=4)  # source A,C; complement B
+    dense = M.pinned_kernel(sp, 0b101, law).matrix
+    k = M.Kernel(sp, 0b101, dense)
+    assert k.leaky_rows is None
+    assert np.array_equal(k.law, law) and np.array_equal(k.matrix, dense)
+    leaky = dense.copy()
+    leaky[2] = np.roll(leaky[2], 1)
+    k = M.Kernel(sp, 0b101, leaky)
+    # kept verbatim for validation and the dense view; the law holds the on-fiber part
+    assert np.array_equal(k.leaky_rows, leaky) and k.matrix is k.leaky_rows
+    on_fiber = k.law.sum(axis=1)
+    assert on_fiber[2] < 1.0 and np.allclose(np.delete(on_fiber, 2), 1.0)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_law_operations_match_the_dense_view(data):
+    space, d = data.draw(space_and_dist(full_support=True))
+    mask = data.draw(st.integers(0, space.full))
+    k = M.conditional_kernel(d, mask)
+    q = M.marginal(d, mask)
+    assert np.array_equal(M.bind(q, k).weights, q.weights @ k.matrix)
+    cols = (np.arange(space.n_atoms)[:, None] % np.array([2, 3]) == 0).astype(np.float64)
+    np.testing.assert_allclose(k.integrate(cols), k.matrix @ cols, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(k.integrate(cols[:, 0]), k.matrix @ cols[:, 0], rtol=0, atol=1e-15)
+    v = data.draw(st.integers(0, space.full))
+    atoms = space.fiber_indicators(v).T
+    np.testing.assert_allclose(k.integrate(atoms), k.matrix @ atoms, rtol=0, atol=1e-15)
 
 
 def grid232():
