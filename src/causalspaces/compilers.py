@@ -56,30 +56,28 @@ class NoiseTerm:
 
 
 def _find_cycle(n: int, parents: Sequence[Sequence[int]]) -> list[int] | None:
-    """Directed cycle through parent -> child edges, as a vertex list."""
+    """Directed cycle through parent -> child edges, as a vertex list.
+
+    Depth first in index order, on an explicit stack rather than recursion.
+    """
+    children = [[c for c, ps in enumerate(parents) if v in ps] for v in range(n)]
     color = [0] * n
-    stack: list[int] = []
-
-    def visit(v: int) -> list[int] | None:
-        color[v] = 1
-        stack.append(v)
-        for child in range(n):
-            if v in parents[child]:
-                if color[child] == 1:
-                    return stack[stack.index(child):] + [child]
-                if color[child] == 0:
-                    found = visit(child)
-                    if found:
-                        return found
-        color[v] = 2
-        stack.pop()
-        return None
-
-    for v in range(n):
-        if color[v] == 0:
-            found = visit(v)
-            if found:
-                return found
+    for root in range(n):
+        if color[root]:
+            continue
+        color[root] = 1
+        path, todo = [root], [iter(children[root])]
+        while path:
+            child = next(todo[-1], None)
+            if child is None:
+                color[path.pop()] = 2
+                todo.pop()
+            elif color[child] == 1:
+                return path[path.index(child):] + [child]
+            elif color[child] == 0:
+                color[child] = 1
+                path.append(child)
+                todo.append(iter(children[child]))
     return None
 
 

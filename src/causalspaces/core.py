@@ -42,6 +42,7 @@ from .measure import (
     bind,
     check_tol,
     conditional_kernel,
+    fiber_sums,
     marginal,
     pinned_kernel,
 )
@@ -138,7 +139,7 @@ def validate_causal_space(cs: CausalSpace, tol: float = NORM_TOL) -> ValidationR
             rows = cols = np.nonzero(dev > tol)[0]
             errors = dev[rows]
         else:
-            marg = k.leaky_rows @ space.fiber_indicators(mask).T
+            marg = fiber_sums(k.leaky_rows, space.atom_projection(space.full, mask), len(k.law))
             dev = np.abs(marg - np.eye(marg.shape[0]))
             rows, cols = np.nonzero(dev > tol)
             errors = dev[rows, cols]

@@ -15,15 +15,15 @@ Every "no effect" question (classify_effect, classify_effect_on_subset,
 has_no_effect_given, activate_dormant) runs through one scan,
 _first_disagreement, which returns the first (subset, row) where a kernel
 and the kernel forgetting U's part disagree; activate_dormant pins that row.
-The scan integrates event columns against each kernel's law
-(Kernel.integrate): one event's indicator, or the atom indicators of a
-subset.
+The scan reads each kernel one way: an event through Kernel.integrate, or
+the whole algebra of a subset V through Kernel.marginals, every row's
+(S atom x V atom) marginal table.
 
 Likewise every source question (is_source, is_global_source and the
 local-source case of adjustment_estimate) runs through one check,
-_is_source_on, which compares the U-kernel with the observational
-conditional on event columns: one indicator, or the atom indicators of a
-subset.
+_source_check, which reads the U-kernel's law and p's conditional table on
+U (measure._conditional_table, adjustment_estimate's only conditional too)
+the same way: on one event, on V's atoms, or cell by cell.
 
 All scans quantify over every atom regardless of observational mass: a
 kernel disagreement supported only on null rows still blocks "no effect".
@@ -42,7 +42,8 @@ import numpy as np
 from . import subsets
 from .core import CausalSpace, intervene_hard
 from .errors import ContractError, DomainError, InternalInconsistencyError
-from .measure import NORM_TOL, Atom, Dist, Event, bind, check_tol, dirac
+from .measure import NORM_TOL, Atom, Dist, Event, bind, check_tol, dirac, fiber_sums, marginal
+from .measure import _conditional_table
 
 
 class EffectClass(enum.Enum):
@@ -57,36 +58,41 @@ def _check_event(cs: CausalSpace, a: Event) -> np.ndarray:
     return a.indicator()
 
 
-def _first_disagreement(cs: CausalSpace, pairs, cols: np.ndarray, tol: float):
-    """First (big, row) where K_big and K_small differ on cols by more than tol.
+def _event(cs: CausalSpace, a: Event):
+    """One event's read under a kernel, and its observational probability."""
+    ind = _check_event(cs, a)
+    return (lambda k: k.integrate(ind)), cs.observational.weights @ ind
+
+
+def _first_disagreement(cs: CausalSpace, pairs, read, tol: float):
+    """First (big, row) where K_big and K_small differ under read by more than tol.
 
     pairs yields (big, small) masks with small inside big, in scan order;
-    cols is one event's indicator or a matrix of indicators as columns.
-    Returns None when every pair agrees. The row is located only on a hit.
+    read maps a kernel to a value, or a row of values, per source atom.
+    Returns None when every pair agrees; the row is located only on a hit.
     """
     space = cs.space
     for big, small in pairs:
-        vb = cs.mechanism[big].integrate(cols)
-        vs = cs.mechanism[small].integrate(cols)
+        vb = read(cs.mechanism[big])
+        vs = read(cs.mechanism[small])
         diff = np.abs(vb - vs[space.atom_projection(big, small)])
         if diff.max() > tol:
             return big, int(np.unravel_index(np.argmax(diff), diff.shape)[0])
     return None
 
 
-def _classify(cs: CausalSpace, u: int, cols: np.ndarray, tol: float):
-    """Effect class of U on the events in cols, with the first disagreement.
+def _classify(cs: CausalSpace, u: int, read, observed: np.ndarray, tol: float):
+    """Effect class of U under read, with the first disagreement.
 
     The scan compares K_S with K_{S minus U} for every S meeting U, in
     ascending mask order; if it finds a disagreement, the U-kernel against
-    the observational probabilities separates ACTIVE from DORMANT.
+    the observational values separates ACTIVE from DORMANT.
     """
     pairs = ((s, s & ~u) for s in subsets.all_masks(cs.space.n) if s & u)
-    hit = _first_disagreement(cs, pairs, cols, tol)
+    hit = _first_disagreement(cs, pairs, read, tol)
     if hit is None:
         return EffectClass.NONE, None
-    vu = cs.mechanism[u].integrate(cols)
-    if np.abs(vu - cs.observational.weights @ cols).max() > tol:
+    if np.abs(read(cs.mechanism[u]) - observed).max() > tol:
         return EffectClass.ACTIVE, hit
     return EffectClass.DORMANT, hit
 
@@ -95,7 +101,7 @@ def classify_effect(cs: CausalSpace, u: int, a: Event, tol: float = NORM_TOL) ->
     """Classify the effect of the U-components on one event."""
     check_tol(tol)
     cs.space._check_mask(u)
-    return _classify(cs, u, _check_event(cs, a), tol)[0]
+    return _classify(cs, u, *_event(cs, a), tol)[0]
 
 
 def classify_effect_on_subset(
@@ -104,13 +110,14 @@ def classify_effect_on_subset(
     """Classify the effect of U on the whole algebra of the V-components.
 
     Every event over V is a disjoint union of V-atom cylinders and all the
-    defining comparisons are additive in the event, so scanning atom events
-    alone is exhaustive.
+    defining comparisons are additive in the event, so comparing each
+    row's marginal on V is exhaustive.
     """
     check_tol(tol)
     cs.space._check_mask(u)
     cs.space._check_mask(v)
-    return _classify(cs, u, cs.space.fiber_indicators(v).T, tol)[0]
+    observed = marginal(cs.observational, v).weights
+    return _classify(cs, u, lambda k: k.marginals(v), observed, tol)[0]
 
 
 def classify_effect_on_sigma(
@@ -144,11 +151,11 @@ def has_no_effect_given(
     space = cs.space
     space._check_mask(u)
     space._check_mask(v)
-    ind = _check_event(cs, a)
+    read, _ = _event(cs, a)
     # S | V runs over the supersets of V, so scanning those alone is exhaustive
     w = u & ~v
     pairs = ((s, s & ~w) for s in subsets.all_masks(space.n) if s & v == v and s & w)
-    return _first_disagreement(cs, pairs, ind, tol) is None
+    return _first_disagreement(cs, pairs, read, tol) is None
 
 
 def is_trivial_kernel(cs: CausalSpace, u: int, tol: float = NORM_TOL) -> bool:
@@ -176,22 +183,18 @@ def is_time_respecting(
     return True
 
 
-def _is_source_on(cs: CausalSpace, u: int, cols: np.ndarray, tol: float) -> bool:
-    """The U-kernel matches p's conditional on every event column of cols.
+def _source_check(cs: CausalSpace, u: int, read, tol: float):
+    """Whether the U-kernel matches p's conditional on U under read.
 
-    cols is one event's indicator or a matrix of indicators as columns.
-    Atoms of U with observational mass at or below tol are skipped.
+    read maps a law table (the U-kernel's or the conditional's) to values
+    per U atom. U atoms of observational mass at or below tol are skipped.
+    Returns the verdict, the conditional's read, and the compared atoms.
     """
-    fibers = cs.space.fiber_indicators(u)
-    p = cs.observational.weights
-    masses = fibers @ p
+    table, masses = _conditional_table(cs.space, u, cs.observational.weights)
+    conditional = read(table)
     ok = masses > tol
-    if not ok.any():
-        return True
-    cols = cols.reshape(p.shape[0], -1)
-    vals = cs.mechanism[u].integrate(cols)[ok]
-    cond = (fibers @ (p[:, None] * cols))[ok] / masses[ok, None]
-    return bool(np.abs(vals - cond).max() <= tol)
+    diff = np.abs(read(cs.mechanism[u].law) - conditional)[ok]
+    return bool(diff.max(initial=0.0) <= tol), conditional, ok
 
 
 def is_source(cs: CausalSpace, u: int, a: Event, tol: float = NORM_TOL) -> bool:
@@ -202,13 +205,14 @@ def is_source(cs: CausalSpace, u: int, a: Event, tol: float = NORM_TOL) -> bool:
     """
     check_tol(tol)
     cs.space._check_mask(u)
-    return _is_source_on(cs, u, _check_event(cs, a), tol)
+    ind = _check_event(cs, a)[cs.space.law_cells(u)]
+    return _source_check(cs, u, lambda law: np.einsum("wc,wc->w", law, ind), tol)[0]
 
 
 def is_global_source(cs: CausalSpace, u: int, tol: float = NORM_TOL) -> bool:
     """Source of every event: rows equal conditionals on positive-mass atoms."""
     check_tol(tol)
-    return _is_source_on(cs, u, cs.space.fiber_indicators(cs.space.full).T, tol)
+    return _source_check(cs, u, lambda law: law, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -237,7 +241,7 @@ def activate_dormant(
     check_tol(tol)
     space = cs.space
     space._check_mask(u)
-    effect, hit = _classify(cs, u, _check_event(cs, a), tol)
+    effect, hit = _classify(cs, u, *_event(cs, a), tol)
     if effect is not EffectClass.DORMANT:
         raise ContractError("activation needs a dormant classification")
     s, row = hit
@@ -293,9 +297,12 @@ def adjustment_estimate(
     p_do = bind(q, cs.mechanism[u]).weights
 
     uv = u | v
-    fibers = space.fiber_indicators(uv)
-    mass_p = fibers @ p
-    mass_do = fibers @ p_do
+    on_a = ind[space.law_cells(uv)]
+    # P(A | atom of U|V) under each measure, from its conditional table
+    table_p, mass_p = _conditional_table(space, uv, p)
+    table_do, mass_do = _conditional_table(space, uv, p_do)
+    cond_p = np.einsum("wc,wc->w", table_p, on_a)
+    cond_do = np.einsum("wc,wc->w", table_do, on_a)
     pos_do = mass_do > tol
     pos_p = mass_p > tol
     consistent = True
@@ -303,14 +310,15 @@ def adjustment_estimate(
         consistent = False
         notes.append("interventional mass sits on observationally null atoms")
     both = pos_do & pos_p
-    if both.any():
-        cond_do = (fibers @ (p_do * ind))[both] / mass_do[both]
-        cond_p = (fibers @ (p * ind))[both] / mass_p[both]
-        if np.abs(cond_do - cond_p).max() > tol:
-            consistent = False
-            notes.append("do-conditional disagrees with the observational conditional")
+    if both.any() and np.abs(cond_do - cond_p)[both].max() > tol:
+        consistent = False
+        notes.append("do-conditional disagrees with the observational conditional")
 
-    if _is_source_on(cs, u, space.fiber_indicators(v).T, tol):
+    labels = space.atom_projection(space.full, v)[space.law_cells(u)]
+    local_source, given_u, ok_u = _source_check(
+        cs, u, lambda law: fiber_sums(law, labels, space.n_atoms_of(v)), tol
+    )
+    if local_source:
         case = "local-source"
     elif classify_effect_on_subset(cs, u, v, tol) is EffectClass.NONE:
         case = "no-effect"
@@ -321,30 +329,25 @@ def adjustment_estimate(
         notes.append("no structural hypothesis holds; weighted as no-effect")
 
     proj_u = space.atom_projection(uv, u)
+    proj_v = space.atom_projection(uv, v)
     q_at = q.weights[proj_u]
     defined = True
     if case == "local-source":
-        mass_u = (space.fiber_indicators(u) @ p)[proj_u]
-        r = np.zeros_like(mass_p)
-        ok_u = mass_u > tol
-        r[ok_u] = mass_p[ok_u] / mass_u[ok_u]
+        ok_u = ok_u[proj_u]
+        r = np.where(ok_u, given_u[proj_u, proj_v], 0.0)
         if ((q_at > tol) & ~ok_u).any():
             defined = False
             notes.append("conditional over V undefined on a needed null atom")
     elif case == "contained":
         r = np.ones_like(mass_p)
     else:
-        proj_v = space.atom_projection(uv, v)
-        r = (space.fiber_indicators(v) @ p)[proj_v]
+        r = marginal(cs.observational, v).weights[proj_v]
 
     weight = q_at * r
     need = weight > tol
-    cond_a = np.zeros_like(mass_p)
-    ok_uv = mass_p > tol
-    cond_a[ok_uv] = (fibers @ (p * ind))[ok_uv] / mass_p[ok_uv]
-    if (need & ~ok_uv).any():
+    if (need & ~pos_p).any():
         defined = False
         notes.append("event conditional undefined on a needed null atom")
-    estimate = float(weight[need & ok_uv] @ cond_a[need & ok_uv])
+    estimate = float(weight[need & pos_p] @ cond_p[need & pos_p])
     trusted = consistent and case is not None and defined
     return AdjustmentResult(estimate, trusted, consistent, case, tuple(notes))

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import subsets
 from .errors import DomainError, SingularBlockError
+from .measure import check_fits
 
 SYM_TOL = 1e-12
 EIG_TOL = 1e-10
@@ -355,6 +356,8 @@ def brownian_grid(n_steps: int, horizon: float = 1.0) -> GaussianSpace:
         raise DomainError("grid needs at least two steps")
     if horizon <= 0:
         raise DomainError("horizon must be positive")
+    # the covariance, and _clean_cov's copy and two temporaries of its size
+    check_fits(4 * 8 * n_steps**2, f"a Brownian grid of {n_steps} steps")
     times = horizon * np.arange(1, n_steps + 1) / n_steps
     cov = np.minimum.outer(times, times)
     names = tuple(f"W({t:g})" for t in times)

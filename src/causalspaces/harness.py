@@ -78,19 +78,17 @@ def random_causal_space(cfg: RandomSpaceConfig) -> CausalSpace:
         if s == 0:
             kernels.append(Kernel(space, 0, p.weights[None, :]))
             continue
-        fibers = space.fiber_indicators(s)
-        masses = fibers @ p.weights
-        rows = np.empty((fibers.shape[0], space.n_atoms))
-        for i in range(rows.shape[0]):
-            support = fibers[i] > 0.0
-            fresh = np.zeros(space.n_atoms)
-            fresh[support] = rng.dirichlet(np.ones(int(support.sum())))
+        cells = space.law_cells(s)
+        masses = marginal(p, s).weights
+        law = np.empty(cells.shape)
+        for i in range(law.shape[0]):
+            fresh = rng.dirichlet(np.ones(cells.shape[1]))
             if cfg.kernel_style == "perturbed-conditional":
                 eps = rng.uniform(0.0, 0.5)
-                rows[i] = (1.0 - eps) * fibers[i] * p.weights / masses[i] + eps * fresh
+                law[i] = (1.0 - eps) * p.weights[cells[i]] / masses[i] + eps * fresh
             else:
-                rows[i] = fresh
-        kernels.append(Kernel(space, s, rows))
+                law[i] = fresh
+        kernels.append(Kernel(space, s, law=law))
     return CausalSpace(space, p, CausalMechanism(space, tuple(kernels)))
 
 
@@ -263,26 +261,22 @@ def _composition_space(coupling: float) -> CausalSpace:
     )
     kernels = []
     for s in subsets.all_masks(4):
-        fibers = space.fiber_indicators(s)
-        rows = np.empty((fibers.shape[0], 16))
-        for i in range(fibers.shape[0]):
-            consistent = np.nonzero(fibers[i] > 0.0)[0]
-            w = np.zeros(16)
-            for flat in consistent:
-                x1, x2, x3, y = space.coords_of(space.full, int(flat))
-                weight = 1.0
-                free1, free2 = not s & 0b0001, not s & 0b0010
-                if free1 and free2:
-                    weight *= pair[x1, x2]
-                elif free1 or free2:
-                    weight *= 0.5
-                if not s & 0b0100:
-                    weight *= 0.5
-                if not s & 0b1000:
-                    weight *= 1.0 if y == x1 ^ x2 else 0.0
-                w[flat] = weight
-            rows[i] = w
-        kernels.append(Kernel(space, s, rows))
+        cells = space.law_cells(s)
+        law = np.empty(cells.shape)
+        for cell, flat in np.ndenumerate(cells):
+            x1, x2, x3, y = space.coords_of(space.full, int(flat))
+            weight = 1.0
+            free1, free2 = not s & 0b0001, not s & 0b0010
+            if free1 and free2:
+                weight *= pair[x1, x2]
+            elif free1 or free2:
+                weight *= 0.5
+            if not s & 0b0100:
+                weight *= 0.5
+            if not s & 0b1000:
+                weight *= 1.0 if y == x1 ^ x2 else 0.0
+            law[cell] = weight
+        kernels.append(Kernel(space, s, law=law))
     p = Dist(space, space.full, kernels[0].law[0])
     return CausalSpace(space, p, CausalMechanism(space, tuple(kernels)))
 

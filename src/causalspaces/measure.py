@@ -8,9 +8,12 @@ probability kernel from S is stored as its law: a (S atom x complement atom)
 table, since every row of a causal kernel is the point mass at its own
 S-atom times a law on the other components. That is 8 * n_atoms bytes per
 kernel whatever S is, and 8 * n_atoms * 2^n for a mechanism; the dense
-(S atom x full atom) rows are a view derived on demand. The package trades
-memory for exhaustive, loop-free semantics, and the one size rule,
-check_fits, refuses what physical memory cannot hold (CapError).
+(S atom x full atom) rows are a view derived on demand. Every sum over
+fibers (a marginal, a kernel's row marginals on a subset, the masses of a
+conditional) is one fiber_sums call, a bincount over labels read off the
+cached projection tables. The package trades memory for exhaustive,
+loop-free semantics, and the one size rule, check_fits, refuses what
+physical memory cannot hold (CapError).
 """
 
 from __future__ import annotations
@@ -197,13 +200,6 @@ class FiniteProductSpace:
         self._cache[key] = out
         return out
 
-    def fiber_indicators(self, mask: int) -> np.ndarray:
-        """Float matrix whose row i flags the full atoms lying over atom i of mask."""
-        # not cached: kept for every mask, these would hold about a mechanism's bytes
-        proj = self.atom_projection(self.full, mask)
-        rows = np.arange(self.n_atoms_of(mask), dtype=np.intp)
-        return (proj[None, :] == rows[:, None]).astype(np.float64)
-
     def coords_of(self, mask: int, index: int) -> tuple[int, ...]:
         sizes, strides = self._strides(mask)
         return tuple((index // st) % sz for sz, st in zip(sizes, strides))
@@ -335,20 +331,24 @@ def uniform(space: FiniteProductSpace, mask: int) -> Dist:
     return Dist(space, mask, np.full(n, 1.0 / n))
 
 
+def fiber_sums(w: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """Each row of w summed by label: w's leading shape by n columns.
+
+    labels (one per entry of w's last axis, per row or shared) lie in
+    range(n); they are atoms read off the cached projection tables.
+    """
+    lead = w.shape[:-1]
+    rows = math.prod(lead)
+    flat = (labels + np.arange(0, rows * n, n).reshape(lead + (1,))).ravel()
+    return np.bincount(flat, weights=w.ravel(), minlength=rows * n).reshape(lead + (n,))
+
+
 def marginal(d: Dist, mask: int) -> Dist:
     """Push d onto the sub-product over mask (mask inside d.domain)."""
     if not subsets.is_subset(mask, d.domain):
         raise DomainError("marginal target must be inside the domain")
-    if mask == d.domain:
-        return Dist(d.space, mask, d.weights)
-    sizes, _ = d.space._strides(d.domain)
-    keep = []
-    for k, t in enumerate(subsets.bits(d.domain)):
-        if mask & (1 << t):
-            keep.append(k)
-    shaped = d.weights.reshape(sizes) if sizes else d.weights
-    drop = tuple(k for k in range(len(sizes)) if k not in keep)
-    return Dist(d.space, mask, shaped.sum(axis=drop).reshape(-1))
+    labels = d.space.atom_projection(d.domain, mask)
+    return Dist(d.space, mask, fiber_sums(d.weights, labels, d.space.n_atoms_of(mask)))
 
 
 def condition(d: Dist, at: Atom) -> Dist:
@@ -563,15 +563,15 @@ class Kernel:
         """k(atom, a) for every source atom, as one vector."""
         return self.integrate(a.indicator())
 
-    def integrate(self, cols: np.ndarray) -> np.ndarray:
-        """Integral of cols under every row, read from the law.
+    def integrate(self, f: np.ndarray) -> np.ndarray:
+        """Integral of f, a function of the full atoms, under every law row."""
+        return np.einsum("wc,wc->w", self.law, f[self.space.law_cells(self.source)])
 
-        cols is a function of the full atoms (an event's indicator), or a
-        matrix of such functions as columns. It is gathered into a (source
-        atom x complement atom) table and summed against each law row.
-        """
-        table = np.take(cols, self.space.law_cells(self.source), axis=0)
-        return np.einsum("wc,wc...->w...", self.law, table)
+    def marginals(self, v: int) -> np.ndarray:
+        """Every row's marginal on the V-components, as (source atom x V atom)."""
+        space = self.space
+        labels = space.atom_projection(space.full, v)[space.law_cells(self.source)]
+        return fiber_sums(self.law, labels, space.n_atoms_of(v))
 
 
 def bind(q: Dist, k: Kernel) -> Dist:
@@ -590,13 +590,13 @@ def bind(q: Dist, k: Kernel) -> Dist:
 def _conditional_table(space: FiniteProductSpace, mask: int, w: np.ndarray):
     """w conditioned on each atom of mask, as (mask atom x complement atom).
 
-    Returns the table and the fiber masses. A row whose mass is not above
-    NORM_TOL keeps w's raw slice, for the caller to reject or complete.
+    Returns the table and the fiber masses. Every row of positive mass is
+    divided by it; the caller picks the mass below which a row is null, to
+    reject, complete or skip. A row of zero mass stays w's raw zeros.
     """
     table = w[space.law_cells(mask)]
-    masses = space.fiber_indicators(mask) @ w
-    ok = masses > NORM_TOL
-    table[ok] /= masses[ok, None]
+    masses = fiber_sums(w, space.atom_projection(space.full, mask), space.n_atoms_of(mask))
+    np.divide(table, masses[:, None], out=table, where=masses[:, None] > 0.0)
     return table, masses
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,19 @@ def test_compile_cycle_reports_trace(runner, tmp_path):
     assert "X" in report["trace"]
 
 
+def test_compile_reports_a_long_cycle(runner, tmp_path):
+    doc = _chain_document(1500, 2, 1)
+    doc["parents"][0] = [1499]
+    doc["tables"][0] = [[0], [1]]
+    path = tmp_path / "ring.scm.json"
+    path.write_text(dump_json(doc) + "\n")
+    result = runner.invoke(main, ["compile", str(path)])
+    assert result.exit_code == 1, result.output
+    report = json.loads(result.output)
+    assert report["error"] == "CycleError"
+    assert report["trace"] == [f"X{j}" for j in range(1500)] + ["X0"]
+
+
 def _chain_document(n_vars, n_outcomes, n_noise):
     """X_0 <- noise, X_j <- X_{j-1} + noise, modulo the outcome count."""
     outcomes = [str(i) for i in range(n_outcomes)]
@@ -234,6 +248,21 @@ def test_compile_refuses_what_memory_cannot_hold(runner, tmp_path, monkeypatch):
         out = json.loads(result.output)
         assert out["error"] == "CapError" and what in out["detail"], (name, out)
         assert not (tmp_path / f"{name}.space.json").exists()
+
+
+def test_demo_brownian_refuses_what_memory_cannot_hold(runner, monkeypatch):
+    monkeypatch.setattr(measure, "_physical_memory", lambda: 8 * 2**30)
+    # 10^14 covariance entries: refused before the grid or its times exist
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["demo", "brownian", "--steps", "10000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 1, result.output
+    out = json.loads(result.output)
+    assert out["error"] == "CapError" and "Brownian grid" in out["detail"], out
+    assert peak < 2**20
 
 
 def test_compile_po_emits_mask_alongside(runner, tmp_path):

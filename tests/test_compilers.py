@@ -69,6 +69,29 @@ def test_cycle_is_rejected_with_trace():
     assert set(exc.value.trace) == {"A", "B"}
 
 
+def test_long_cycle_is_found_without_recursion():
+    # 1,500 variables in a ring: deeper than Python's default recursion limit
+    d = 1500
+    one = np.zeros((2, 1), dtype=int)
+    with pytest.raises(CycleError) as exc:
+        ScmSpec(
+            tuple(ScmVariable(f"X{j}", B) for j in range(d)),
+            (UNIT,) * d,
+            ((d - 1,),) + tuple((j,) for j in range(d - 1)),
+            (one,) * d,
+        )
+    assert exc.value.trace == [f"X{j}" for j in range(d)] + ["X0"]
+    # X0 closes a cycle through X1 and one through X2: children go in index order
+    with pytest.raises(CycleError) as exc:
+        ScmSpec(
+            tuple(ScmVariable(f"X{j}", B) for j in range(3)),
+            (UNIT,) * 3,
+            ((1, 2), (0,), (0,)),
+            (np.zeros((4, 1), dtype=int), one, one),
+        )
+    assert exc.value.trace == ["X0", "X1", "X0"]
+
+
 def test_forward_reference_without_cycle_is_rejected():
     with pytest.raises(CycleError, match="topological"):
         ScmSpec(

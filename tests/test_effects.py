@@ -1,5 +1,7 @@
 """Effect classification, dormancy, sources, and covariate adjustment."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -304,20 +306,28 @@ def test_triangle_sources():
 
 
 def test_source_check_skips_null_atoms():
+    def cause_and_copy(c_noise):
+        return compile_scm(
+            scm_from_functions(
+                [ScmVariable("C", B), ScmVariable("Y", B)],
+                [c_noise, NoiseTerm(("keep", "flip"), (0.75, 0.25))],
+                [(), (0,)],
+                [lambda pa, n: n,
+                 lambda pa, n: pa["C"] if n == "keep" else ("1" if pa["C"] == "0" else "0")],
+            )
+        )
+
     # C is surely "1"; the kernel row at the impossible C=0 atom is
     # unconstrained and must not affect the verdict
-    cs = compile_scm(
-        scm_from_functions(
-            [ScmVariable("C", B), ScmVariable("Y", B)],
-            [NoiseTerm(("1",), (1.0,)), NoiseTerm(("keep", "flip"), (0.75, 0.25))],
-            [(), (0,)],
-            [lambda pa, n: n,
-             lambda pa, n: pa["C"] if n == "keep" else ("1" if pa["C"] == "0" else "0")],
-        )
-    )
+    cs = cause_and_copy(NoiseTerm(("1",), (1.0,)))
     c = cs.space.mask_of(["C"])
     assert is_global_source(cs, c)
     assert is_source(cs, c, rectangle(cs.space, {"Y": ["1"]}))
+    # C=0 has mass 1e-10: below tol=1e-12 it is compared, so its row of the
+    # conditional must be divided out like any other
+    rare = cause_and_copy(NoiseTerm(B, (1e-10, 1.0 - 1e-10)))
+    assert is_global_source(rare, c, tol=1e-12)
+    assert is_source(rare, c, rectangle(rare.space, {"Y": ["1"]}), tol=1e-12)
 
 
 def _is_source_by_definition(cs, u, a):
@@ -357,6 +367,29 @@ def test_global_source_is_a_source_of_every_atom_event():
             assert got == all(is_source(cs, u, a) for a in atoms), (seed, bin(u))
             verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def test_global_source_holds_no_dense_table():
+    # an 8-variable noisy-copy chain: a (256 x 256) float table would be 512 KB
+    flip = NoiseTerm(("keep", "flip"), (0.8, 0.2))
+    names = [f"X{j}" for j in range(8)]
+    cs = compile_scm(
+        scm_from_functions(
+            [ScmVariable(x, B) for x in names],
+            [COIN] + [flip] * 7,
+            [()] + [(j,) for j in range(7)],
+            [lambda pa, n: n]
+            + [lambda pa, n, x=x: pa[x] if n == "keep" else "01"[pa[x] == "0"] for x in names[:-1]],
+        )
+    )
+    for u, want in ((0b1, True), (0b10, False), (0b1111, True), (0b11110000, False)):
+        tracemalloc.start()
+        try:
+            got = is_global_source(cs, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is want and peak < 64 * 1024, (u, got, peak)
 
 
 # ------------------------------------------------------------- adjustment

@@ -12,7 +12,11 @@ checked on each:
     ten seconds per model;
   * hard interventions equal generic ones through trivial_internal on the
     measure and on every kernel;
-  * the compiled space passes validate_causal_space.
+  * the compiled space passes validate_causal_space;
+  * U's effect on the algebra of V (classify_effect_on_subset, which reads
+    every row's marginal on V) is the strongest of its effects on V's atom
+    events (classify_effect, one event at a time), on these models at
+    n = 7, 8 and on random_causal_space.
 """
 
 import sys
@@ -23,7 +27,9 @@ import pytest
 
 from causalspaces.compilers import compile_scm, truncated_factorization_oracle
 from causalspaces.core import InterventionSpec, intervene, intervene_hard, trivial_internal, validate_causal_space
-from causalspaces.measure import Atom, Dist
+from causalspaces.effects import EffectClass, classify_effect, classify_effect_on_subset
+from causalspaces.harness import KERNEL_STYLES, RandomSpaceConfig, random_causal_space
+from causalspaces.measure import Atom, Dist, Event
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import models  # noqa: E402  (perfbench's seeded model generators)
@@ -67,3 +73,51 @@ def test_hard_is_generic_through_trivial_internal(fam, n):
             err = np.abs(hard.mechanism[mask].matrix - generic.mechanism[mask].matrix).max()
             assert err <= 1e-12, (fam, n, comps, mask)
         assert validate_causal_space(hard).ok
+
+
+STRENGTH = [EffectClass.NONE, EffectClass.DORMANT, EffectClass.ACTIVE]
+
+
+def _strongest_on_atoms(cs, u, v):
+    n_v = cs.space.n_atoms_of(v)
+    events = (Event(cs.space, v, np.arange(n_v) == i) for i in range(n_v))
+    return max((classify_effect(cs, u, a) for a in events), key=STRENGTH.index)
+
+
+def _subset_cases(n):
+    """(U components, V components, the class where the model fixes it)."""
+    none, dormant, active = EffectClass.NONE, EffectClass.DORMANT, EffectClass.ACTIVE
+    return [
+        ([n - 1], range(n - 1), {"chain": none}),
+        ([0], [2], {"parity": dormant}),
+        ([0], [1], {"chain": active, "parity": none}),
+        ([0], [2, 3, 4], {"parity": dormant}),
+        ([0, 1], [n - 1, n - 2], {}),
+        ([1], [0, 3], {}),
+        ([2], [n - 1], {}),
+        ([1, 2], [0], {"chain": none}),
+    ]
+
+
+SUBSET_MODELS = [(fam, n) for n in (7, 8) for fam in FAMILIES]
+
+
+@pytest.mark.parametrize("fam,n", SUBSET_MODELS, ids=[f"{f}{n}" for f, n in SUBSET_MODELS])
+def test_subset_effect_is_the_strongest_atom_effect(fam, n):
+    cs = compile_scm(_model(fam, n))
+    for us, vs, fixed in _subset_cases(n):
+        u = sum(1 << t for t in us)
+        v = sum(1 << t for t in vs)
+        got = classify_effect_on_subset(cs, u, v)
+        assert got is _strongest_on_atoms(cs, u, v), (fam, n, u, v)
+        assert got is fixed.get(fam, got), (fam, n, u, v)
+
+
+@pytest.mark.parametrize("style", KERNEL_STYLES)
+def test_subset_effect_is_the_strongest_atom_effect_on_random_spaces(style):
+    rng = np.random.default_rng(17)
+    for seed in range(12):
+        cs = random_causal_space(RandomSpaceConfig(n_components=int(rng.integers(2, 5)), seed=seed, kernel_style=style))
+        for _ in range(4):
+            u, v = (int(x) for x in rng.integers(0, cs.space.full + 1, size=2))
+            assert classify_effect_on_subset(cs, u, v) is _strongest_on_atoms(cs, u, v), (style, seed, u, v)

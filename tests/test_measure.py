@@ -215,12 +215,17 @@ def test_law_operations_match_the_dense_view(data):
     k = M.conditional_kernel(d, mask)
     q = M.marginal(d, mask)
     assert np.array_equal(M.bind(q, k).weights, q.weights @ k.matrix)
-    cols = (np.arange(space.n_atoms)[:, None] % np.array([2, 3]) == 0).astype(np.float64)
-    np.testing.assert_allclose(k.integrate(cols), k.matrix @ cols, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(k.integrate(cols[:, 0]), k.matrix @ cols[:, 0], rtol=0, atol=1e-15)
+    for step in (2, 3):
+        f = (np.arange(space.n_atoms) % step == 0).astype(np.float64)
+        np.testing.assert_allclose(k.integrate(f), k.matrix @ f, rtol=0, atol=1e-15)
+    # the subset read against the dense rows summed over each V atom's fiber
     v = data.draw(st.integers(0, space.full))
-    atoms = space.fiber_indicators(v).T
-    np.testing.assert_allclose(k.integrate(atoms), k.matrix @ atoms, rtol=0, atol=1e-15)
+    dense = k.matrix
+    want = np.zeros((dense.shape[0], space.n_atoms_of(v)))
+    for j in range(space.n_atoms):
+        coords = space.coords_of(space.full, j)
+        want[:, space.flat_of(v, [coords[t] for t in subsets.indices_of(v)])] += dense[:, j]
+    np.testing.assert_allclose(k.marginals(v), want, rtol=0, atol=1e-15)
 
 
 def grid232():

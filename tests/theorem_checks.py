@@ -110,7 +110,11 @@ def check_intervention(cs: CausalSpace, spec: InterventionSpec):
         for v in validate_causal_space(done, TOL).violations
     ]
 
-    fibers_u = space.fiber_indicators(u)
+    # flags the full atoms over each atom of U, built from coordinates
+    fibers_u = np.zeros((space.n_atoms, space.n_atoms_of(u)))
+    for j in range(space.n_atoms):
+        coords = space.coords_of(space.full, j)
+        fibers_u[j, space.flat_of(u, [coords[t] for t in subsets.indices_of(u)])] = 1.0
     for s in subsets.all_masks(space.n):
         m_do = done.mechanism[s].matrix
         if subsets.is_subset(u, s):
@@ -121,7 +125,7 @@ def check_intervention(cs: CausalSpace, spec: InterventionSpec):
             want = left @ cs.mechanism[u].matrix
             if _err(m_do, want) > TOL:
                 out.append(f"D.1(b) fails at S={s}")
-            if _err(m_do @ fibers_u.T, left) > TOL:
+            if _err(m_do @ fibers_u, left) > TOL:
                 out.append(f"D.1(b) restriction to the intervened algebra fails at S={s}")
         if s & u == 0:
             emb_s = space.atom_embedding(s, s | u)
