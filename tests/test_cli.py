@@ -233,9 +233,6 @@ def test_compile_refuses_what_memory_cannot_hold(runner, tmp_path, monkeypatch):
     cases = {
         # 12 four-outcome variables: 5.5e11 bytes of laws, a 7.4e16-byte document
         "wide": (_chain_document(12, 4, 4), "space document"),
-        # 6 binary variables with 200-outcome noises: a 32 KB mechanism but
-        # 6.9e16 bytes of noise and (row atom x noise atom) grids
-        "noisy": (_chain_document(6, 2, 200), "compiling"),
         # 12 binary variables: 134 MB of laws compile, but the document lists
         # 4096 * 3^12 dense numbers, 3.9e10 bytes to write; refused before compiling
         "binary": (_chain_document(12, 2, 2), "space document"),
@@ -248,6 +245,25 @@ def test_compile_refuses_what_memory_cannot_hold(runner, tmp_path, monkeypatch):
         out = json.loads(result.output)
         assert out["error"] == "CapError" and what in out["detail"], (name, out)
         assert not (tmp_path / f"{name}.space.json").exists()
+    # 6 binary variables with 200-outcome noises: a 32 KB mechanism, which
+    # the compiler builds from per-variable conditionals without ever
+    # enumerating the 6.4e13 joint noise atoms
+    path = tmp_path / "noisy.scm.json"
+    path.write_text(dump_json(_chain_document(6, 2, 200)) + "\n")
+    result = runner.invoke(main, ["compile", str(path)])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "noisy.space.json").exists()
+
+
+def test_compile_renormalises_noise_weights_within_the_window(runner, tmp_path):
+    doc = _chain_document(3, 2, 2)
+    doc["noises"] = [{"outcomes": ["0", "1"], "weights": [0.5, 0.5000004]}] * 3
+    path = tmp_path / "near.scm.json"
+    path.write_text(dump_json(doc) + "\n")
+    result = runner.invoke(main, ["compile", str(path)])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["validate", json.loads(result.output)["out"]])
+    assert result.exit_code == 0, result.output
 
 
 def test_demo_brownian_refuses_what_memory_cannot_hold(runner, monkeypatch):

@@ -1,10 +1,15 @@
 """Structural-model and potential-outcome compilation.
 
-The central check is differential: the vectorised clamped-rerun kernels
-against the plain-Python noise-enumeration oracle, which share no code.
+The central check is differential: the truncated-factorisation kernels
+against the plain-Python noise-enumeration oracle, which share no code, and
+against exact rational arithmetic done inside the test.
 """
 
+import itertools
+import sys
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +36,10 @@ from causalspaces.errors import CycleError, DomainError
 from causalspaces.harness import random_scm, xor_scm
 from causalspaces.measure import Atom, condition, dirac, marginal, rectangle
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import models  # noqa: E402  (perfbench's seeded model generators)
+
+EPS = np.finfo(np.float64).eps
 B = ("0", "1")
 COIN = NoiseTerm(B, (0.5, 0.5))
 UNIT = NoiseTerm(("*",), (1.0,))
@@ -118,6 +127,34 @@ def test_bad_tables_are_rejected():
             ((), ()),
             (np.zeros((1, 1), int), np.zeros((1, 1), int)),
         )
+
+
+def _noisy_chain(weights):
+    """Three binary variables, each the one before XOR its own coin with these weights."""
+    copy, xor = np.array([[0, 1]]), np.array([[0, 1], [1, 0]])
+    return ScmSpec(
+        (ScmVariable("A", B), ScmVariable("B", B), ScmVariable("C", B)),
+        (NoiseTerm(B, weights),) * 3,
+        ((), (0,), (1,)),
+        (copy, xor, xor),
+    )
+
+
+def test_noise_weights_are_stored_normalised():
+    s = _noisy_chain((0.5, 0.5000004))
+    assert all(abs(sum(nz.weights) - 1.0) <= 1e-15 for nz in s.noises)
+    cs = compile_scm(s)
+    assert validate_causal_space(cs).ok
+    assert abs(cs.observational.weights.sum() - 1.0) <= 1e-15
+    # weights already within NORM_TOL come back as given
+    assert _noisy_chain((0.3, 0.7000000001)).noises[0].weights == (0.3, 0.7000000001)
+
+
+def test_noise_weight_count_must_match_its_outcomes():
+    with pytest.raises(DomainError, match="1 weights for 2 outcomes"):
+        _noisy_chain((1.0,))
+    with pytest.raises(DomainError, match="3 weights for 2 outcomes"):
+        _noisy_chain((0.5, 0.3, 0.2))
 
 
 def test_table_from_function_is_row_major_over_listed_parents():
@@ -265,9 +302,10 @@ def random_tables_scm(seed, parents, n_out, n_noise):
     ids=["chain6", "dag6", "ternary4"],
 )
 def test_every_kernel_row_matches_oracle(make):
-    """Each row is the oracle clamped at the row's atom, bit for bit: both
-    multiply the noise weights in variable order and add the products in
-    noise-grid order."""
+    """Each row is the oracle clamped at the row's atom, to 2n ulps relative,
+    and zero exactly where the oracle is: the compiler multiplies per-variable
+    conditionals, the oracle adds noise-atom products, so the two round
+    differently but share their zero pattern."""
     s = make()
     cs = compile_scm(s)
     space = cs.space
@@ -275,7 +313,66 @@ def test_every_kernel_row_matches_oracle(make):
         matrix = cs.mechanism[mask].matrix
         for i in range(matrix.shape[0]):
             want = truncated_factorization_oracle(s, space.labels_of(Atom(mask, i)))
-            np.testing.assert_array_equal(matrix[i], want.weights)
+            np.testing.assert_allclose(matrix[i], want.weights, rtol=2 * space.n * EPS, atol=0)
+
+
+def _exact_row(s, clamp):
+    """One kernel row in exact arithmetic, enumerating the unclamped noises.
+
+    clamp maps variable index to outcome index; the result maps full-atom
+    flat indices (row-major, variable 0 slowest) to Fractions.
+    """
+    free = [j for j in range(len(s.variables)) if j not in clamp]
+    out = {}
+    for combo in itertools.product(*(range(len(s.noises[j].outcomes)) for j in free)):
+        noise = dict(zip(free, combo))
+        prob = Fraction(1)
+        vals = []
+        for j, var in enumerate(s.variables):
+            if j in clamp:
+                vals.append(clamp[j])
+                continue
+            prob *= Fraction(s.noises[j].weights[noise[j]])
+            pa = 0
+            for p in s.parents[j]:
+                pa = pa * len(s.variables[p].outcomes) + vals[p]
+            vals.append(int(s.tables[j][pa][noise[j]]))
+        flat = 0
+        for var, v in zip(s.variables, vals):
+            flat = flat * len(var.outcomes) + v
+        out[flat] = out.get(flat, Fraction(0)) + prob
+    return out
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: models.xor_chain(np.random.default_rng([11, 5, 0]), 5),
+        lambda: models.random_dag(np.random.default_rng([11, 5, 1]), 5),
+        lambda: models.parity_with_fillers(np.random.default_rng([11, 5, 2]), 5),
+        lambda: random_tables_scm(5, [(), (0,), (0, 1), (2,)], 3, 3),
+    ],
+    ids=["chain5", "dag5", "parity5", "ternary4"],
+)
+def test_every_kernel_row_is_exact_to_n_ulps(make):
+    """Every row against exact rational arithmetic: each nonzero cell within
+    n ulps relative, each zero exactly zero."""
+    s = make()
+    n = len(s.variables)
+    sizes = [len(v.outcomes) for v in s.variables]
+    cs = compile_scm(s)
+    for mask in range(1 << n):
+        matrix = cs.mechanism[mask].matrix
+        on = [j for j in range(n) if mask >> j & 1]
+        for i, coords in enumerate(itertools.product(*(range(sizes[j]) for j in on))):
+            exact = _exact_row(s, dict(zip(on, coords)))
+            for cell, got in enumerate(matrix[i]):
+                want = exact.get(cell, Fraction(0))
+                if want == 0:
+                    assert got == 0.0, (mask, i, cell, got)
+                else:
+                    err = abs(Fraction(got) - want) / want
+                    assert err <= n * Fraction(EPS), (mask, i, cell, float(err / Fraction(EPS)))
 
 
 def _chain(n):

@@ -6,8 +6,8 @@ runs are compiled at six to eight variables, and three identities are
 checked on each:
 
   * each row of every compiled kernel is truncated_factorization_oracle
-    clamped at that row's atom (the independent plain-Python oracle): every
-    row up to n = 7, and at n = 8 the first, the last and two seeded rows
+    clamped at that row's atom (the independent plain-Python oracle) to 2n
+    ulps relative, with the oracle's zeros exactly: every row up to n = 7, and at n = 8 the first, the last and two seeded rows
     of each kernel, since the oracle's 6561 calls there would take about
     ten seconds per model;
   * hard interventions equal generic ones through trivial_internal on the
@@ -35,6 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import models  # noqa: E402  (perfbench's seeded model generators)
 
 FAMILIES = {"chain": models.xor_chain, "dag": models.random_dag, "parity": models.parity_with_fillers}
+EPS = np.finfo(np.float64).eps
 CASES = [(fam, n) for n in (6, 7, 8) for fam in FAMILIES]
 
 
@@ -56,7 +57,9 @@ def test_compiled_rows_are_the_clamped_oracle(fam, n):
             rows = sorted({0, len(matrix) - 1, *rng.integers(len(matrix), size=2).tolist()})
         for i in rows:
             want = truncated_factorization_oracle(s, space.labels_of(Atom(mask, i)))
-            np.testing.assert_array_equal(matrix[i], want.weights, err_msg=f"{fam}{n} mask {mask} row {i}")
+            np.testing.assert_allclose(
+                matrix[i], want.weights, rtol=2 * n * EPS, atol=0, err_msg=f"{fam}{n} mask {mask} row {i}"
+            )
 
 
 @pytest.mark.parametrize("fam,n", CASES, ids=[f"{f}{n}" for f, n in CASES])
