@@ -48,16 +48,18 @@ def _guarded(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
-            return fn(*args, **kwargs)
-        except click.ClickException:
-            raise
+            try:
+                return fn(*args, **kwargs)
+            except DocumentError:
+                raise
+            except CausalSpacesError as exc:
+                payload = {"error": type(exc).__name__, "detail": str(exc)}
+                if isinstance(exc, CycleError) and exc.trace:
+                    payload["trace"] = list(exc.trace)
+                # the writer refuses a report naming text UTF-8 cannot encode
+                _semantic(payload)
         except DocumentError as exc:
             raise click.UsageError(str(exc)) from exc
-        except CausalSpacesError as exc:
-            payload = {"error": type(exc).__name__, "detail": str(exc)}
-            if isinstance(exc, CycleError) and exc.trace:
-                payload["trace"] = list(exc.trace)
-            _semantic(payload)
 
     return wrapper
 

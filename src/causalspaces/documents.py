@@ -5,11 +5,25 @@ DocumentError; value-level problems (weights that are not distributions,
 cyclic assignment graphs) surface as the library's own errors so callers can
 separate "could not read" from "read fine but invalid".
 
-Output is compact single-line JSON from json.dumps. Python writes floats as
-their shortest round-trip repr, so a parsed value is bit-identical to the
-dumped one. Non-finite numbers are refused both when writing and when
-reading, where json.loads would otherwise accept NaN and Infinity literals,
-read 1e400 as inf and keep a 400-digit integer that no float can hold.
+Output is compact single-line JSON with no spaces, written by orjson, which
+formats float64 arrays straight from memory with no list of Python floats
+in between. Floats are written in their shortest round-trip form, so a
+parsed value is bit-identical to the dumped one (float32 values are written
+at float32 precision). Text is UTF-8, with no \\u escapes for non-ASCII
+characters. One walk over the value (_check) admits only what json.dumps
+did, since orjson would write NaN and inf as null and would also take
+enums, UUIDs, dataclasses and datetimes.
+
+Input stays on the standard library's json.loads. orjson.loads is faster
+but builds a parse tree before the Python objects: on the 7.5 MB n = 8
+chain document, in a fresh process on a 2-vCPU Xeon, it took 0.16 s and
+peaked at 127 MB RSS, against 0.27 s and 95 MB for json.loads, and a trial
+of it raised the cli-ladder benchmark's peak_rss_mb from about 141 to
+164 MB, past that metric's 10% bound.
+
+Non-finite numbers are refused both when writing and when reading, where
+json.loads would otherwise accept NaN and Infinity literals, read 1e400 as
+inf and keep a 400-digit integer that no float can hold.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import subsets
 from .compilers import NoiseTerm, PoSpec, ScmSpec, ScmVariable
@@ -36,35 +51,74 @@ MASK_SUFFIX = ".mask.json"
 
 # ------------------------------------------------------------ JSON egress
 
+_DUMP_OPTIONS = (
+    orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME
+)
+
 
 def _plain(o):
-    """json.dumps hook: numpy arrays and scalars to their Python values."""
+    """orjson hook for the numpy arrays and scalars it does not format itself.
+
+    Those are non-contiguous arrays and dtypes orjson does not know; the
+    walk in _check has already refused every other type.
+    """
     if isinstance(o, np.ndarray):
         return o.tolist()
     if isinstance(o, np.generic):
         return o.item()
-    raise DocumentError(f"cannot serialize {type(o).__name__} to a document")
+    raise TypeError(f"cannot serialize {type(o).__name__}")
 
 
-def _check_keys(o) -> None:
-    """json.dumps would quietly stringify int keys; documents only have str keys."""
-    if isinstance(o, dict):
+def _refuse_non_finite() -> None:
+    raise DocumentError("cannot serialize a non-finite number")
+
+
+def _check(o) -> None:
+    """Refuse, before orjson writes it, what json.dumps did not write.
+
+    Leaves are str, int, bool, None and finite floats, or numpy arrays and
+    scalars of them; keys are str (json.dumps would stringify an int key).
+    """
+    if o is None or isinstance(o, (str, int)):
+        return
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            _refuse_non_finite()
+    elif isinstance(o, dict):
         for k, v in o.items():
             if not isinstance(k, str):
                 raise DocumentError(f"object keys must be strings, got {k!r}")
-            _check_keys(v)
+            _check(v)
     elif isinstance(o, (list, tuple)):
-        for v in o:
-            if isinstance(v, (dict, list, tuple)):
-                _check_keys(v)
+        if set(map(type, o)) <= {float}:
+            if not all(map(math.isfinite, o)):
+                _refuse_non_finite()
+        else:
+            for v in o:
+                _check(v)
+    elif isinstance(o, np.ndarray):
+        if o.dtype.kind == "f":
+            if not np.isfinite(o).all():
+                _refuse_non_finite()
+        elif o.dtype.kind not in "biu":
+            _check(o.tolist())
+    elif isinstance(o, np.generic):
+        _check(o.item())
+    else:
+        raise DocumentError(f"cannot serialize {type(o).__name__} to a document")
+
+
+def _encode(obj) -> bytes:
+    _check(obj)
+    try:
+        return orjson.dumps(obj, default=_plain, option=_DUMP_OPTIONS)
+    except orjson.JSONEncodeError as exc:  # an int beyond 64 bits, a lone surrogate
+        raise DocumentError(f"cannot serialize to a document: {exc}") from exc
 
 
 def dump_json(obj) -> str:
-    _check_keys(obj)
-    try:
-        return json.dumps(obj, allow_nan=False, default=_plain)
-    except ValueError as exc:
-        raise DocumentError(f"cannot serialize a non-finite number ({exc})") from exc
+    """Compact one-line JSON text: no spaces, floats in shortest round-trip form."""
+    return _encode(obj).decode()
 
 
 def _non_finite(name: str):
@@ -91,7 +145,13 @@ def read_document(path: str | Path) -> dict:
 
 
 def write_document(path: str | Path, obj) -> None:
-    Path(path).write_text(dump_json(obj) + "\n", encoding="utf-8")
+    data = _encode(obj)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+            fh.write(b"\n")
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from exc
 
 
 def kind_of(path: str | Path) -> str:
@@ -181,11 +241,14 @@ def check_document_fits(sizes: tuple[int, ...]) -> None:
 
     A document lists every kernel's dense rows, n_atoms * prod(1 + k_t)
     numbers over components of k_t outcomes, however small the laws are.
-    Writing one holds them as floats and, while the text is encoded, twice
-    as text of at least 5 bytes a number ("0.0, "): 18 bytes a number.
+    Writing one holds them as floats, 8 bytes a number, and orjson's output
+    buffer: text of at least 4 bytes a number ("0.0,"), in a buffer that
+    grows by doubling, so up to 8 bytes more: 16 bytes a number. Measured
+    with scripts/doc_io_probe.py, a write's rise in max RSS on chain
+    documents was at most 13.5 bytes a number at n = 6..8.
     """
     numbers = math.prod(sizes) * math.prod(1 + k for k in sizes)
-    check_fits(18 * numbers, f"a space document of {numbers} numbers")
+    check_fits(16 * numbers, f"a space document of {numbers} numbers")
 
 
 def space_to_document(cs: CausalSpace) -> dict:
@@ -221,6 +284,12 @@ def document_to_space(doc: dict) -> CausalSpace:
     table = _need(doc, "kernels", "space document")
     if not isinstance(table, dict):
         raise DocumentError("kernels must be an object keyed by subsets")
+    # counted first: a short table over many components must not cost 2^n keys
+    if len(table) != 1 << space.n:
+        raise DocumentError(
+            f"kernels must cover every subset exactly once "
+            f"({len(table)} given, {space.n} components have {1 << space.n})"
+        )
     want = {subset_key(mask): mask for mask in subsets.all_masks(space.n)}
     missing = sorted(set(want) - set(table), key=lambda k: want[k])
     extra = sorted(set(table) - set(want))
@@ -294,15 +363,15 @@ def document_to_scm(doc: dict) -> ScmSpec:
         raise DocumentError("tables must be a list of matrices")
     tables = []
     for i, rows in enumerate(raw_tables):
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise DocumentError(f"tables[{i}] must be a matrix of outcome indices")
+        if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
+            raise DocumentError(f"tables[{i}] must be a nonempty matrix of outcome indices")
         for r in rows:
             if not all(isinstance(v, int) and not isinstance(v, bool) for v in r):
                 raise DocumentError(f"tables[{i}] must contain integers only")
         if len({len(r) for r in rows}) > 1:
             raise DocumentError(f"tables[{i}] rows have mixed lengths")
         try:
-            tables.append(np.array(rows, dtype=np.intp).reshape(len(rows), -1))
+            tables.append(np.array(rows, dtype=np.intp))
         except OverflowError as exc:
             raise DocumentError(f"tables[{i}] has an integer too large for an index") from exc
     return ScmSpec(variables, tuple(noises), tuple(parents), tuple(tables))

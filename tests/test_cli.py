@@ -213,6 +213,19 @@ def test_compile_reports_a_long_cycle(runner, tmp_path):
     assert report["trace"] == [f"X{j}" for j in range(1500)] + ["X0"]
 
 
+def test_a_report_that_cannot_be_written_exits_2(runner, tmp_path):
+    # json.loads reads the escape as a lone surrogate, which UTF-8 cannot encode
+    doc = scm_to_document(xor_scm())
+    doc["variables"][0]["name"] = "X\ud800"
+    doc["parents"] = [[1], [0]]
+    doc["tables"][0] = [[0, 0], [1, 1]]
+    path = tmp_path / "loop.scm.json"
+    path.write_text(json.dumps(doc, default=np.ndarray.tolist))
+    result = runner.invoke(main, ["compile", str(path)])
+    assert result.exit_code == 2, (result.exception, result.output)
+    assert "cannot serialize" in result.output
+
+
 def _chain_document(n_vars, n_outcomes, n_noise):
     """X_0 <- noise, X_j <- X_{j-1} + noise, modulo the outcome count."""
     outcomes = [str(i) for i in range(n_outcomes)]
@@ -302,6 +315,45 @@ def test_compile_po_emits_mask_alongside(runner, tmp_path):
 def test_compile_rejects_wrong_kinds(runner, tmp_path, xor_space_path):
     assert runner.invoke(main, ["compile", xor_space_path]).exit_code == 2
     assert runner.invoke(main, ["compile", str(tmp_path / "x.json")]).exit_code == 2
+
+
+def test_compile_refuses_an_empty_table(runner, tmp_path):
+    doc = _chain_document(1, 2, 2)
+    doc["tables"][0] = []
+    path = tmp_path / "empty.scm.json"
+    path.write_text(dump_json(doc) + "\n")
+    result = runner.invoke(main, ["compile", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "tables[0] must be a nonempty matrix" in result.output
+
+
+def test_compile_refuses_an_output_it_cannot_write(runner, tmp_path):
+    path = tmp_path / "xor.scm.json"
+    path.write_text(dump_json(scm_to_document(xor_scm())) + "\n")
+    out = tmp_path / "missing" / "xor.space.json"
+    result = runner.invoke(main, ["compile", str(path), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "cannot write" in result.output
+
+
+def test_a_short_kernel_table_is_refused_before_its_subsets_are_listed(runner, tmp_path):
+    # 20 one-outcome components: 2^20 subsets, but the document lists one kernel
+    doc = {
+        "components": [{"name": f"X{j}", "outcomes": ["0"]} for j in range(20)],
+        "p": [1.0],
+        "kernels": {"": [[1.0]]},
+    }
+    path = tmp_path / "wide.space.json"
+    path.write_text(dump_json(doc) + "\n")
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["validate", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 2, result.output
+    assert peak < 2**20, peak
+    assert "1 given, 20 components have 1048576" in result.output
 
 
 def test_demo_brownian_csv(runner):

@@ -1,10 +1,15 @@
 """Document schemas, float fidelity, and the CLI expression grammars."""
 
+import dataclasses
+import datetime
+import enum
 import json
+import uuid
 
 import numpy as np
 import pytest
 
+from causalspaces import documents
 from causalspaces.compilers import (
     NoiseTerm,
     PoSpec,
@@ -51,7 +56,7 @@ def test_dump_json_structures():
     assert dump_json([]) == "[]" and dump_json({}) == "{}"
     # compact single line, shortest round-trip floats, numpy scalars as plain values
     text = dump_json({"p": np.array([0.1, 1.0 / 3.0]), "n": np.int64(3), "ok": np.bool_(True)})
-    assert text == '{"p": [0.1, 0.3333333333333333], "n": 3, "ok": true}'
+    assert text == '{"p":[0.1,0.3333333333333333],"n":3,"ok":true}'
     with pytest.raises(DocumentError, match="non-finite"):
         dump_json(float("nan"))
     with pytest.raises(DocumentError, match="non-finite"):
@@ -62,6 +67,62 @@ def test_dump_json_structures():
         dump_json({"components": [{"name": "a", 2: "b"}]})
     with pytest.raises(DocumentError, match="serialize"):
         dump_json(object())
+
+
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"]
+)
+def test_dump_json_refuses_non_finite_floats_anywhere(bad):
+    for obj in (
+        {"kernels": {"0": [[0.5, bad]]}},
+        [[1, 2.0], (0.5, bad)],
+        {"p": np.float64(bad)},
+        [np.float32(bad)],
+        {"q": np.array([0.5, bad], dtype=np.float32)},
+    ):
+        with pytest.raises(DocumentError, match="non-finite"):
+            dump_json(obj)
+
+
+class Colour(enum.Enum):
+    RED = 1
+
+
+@dataclasses.dataclass
+class Pair:
+    a: int
+    b: float
+
+
+@pytest.mark.parametrize(
+    "leaf",
+    [Colour.RED, Pair(1, 0.5), datetime.datetime(2020, 1, 2), datetime.date(2020, 1, 2),
+     uuid.UUID(int=7), 1j, np.array([1j]), object()],
+    ids=["enum", "dataclass", "datetime", "date", "uuid", "complex", "complex-array", "object"],
+)
+def test_dump_json_refuses_what_json_dumps_refused(leaf):
+    with pytest.raises(DocumentError, match="serialize"):
+        dump_json({"x": [leaf]})
+
+
+def test_dump_json_writes_non_contiguous_arrays_through_the_hook(monkeypatch):
+    hooked = []
+    plain = documents._plain
+    monkeypatch.setattr(documents, "_plain", lambda o: hooked.append(o.shape) or plain(o))
+    a = np.arange(6, dtype=np.float64).reshape(2, 3)
+    text = dump_json({"t": a.T, "c": a})
+    assert text == '{"t":[[0.0,3.0],[1.0,4.0],[2.0,5.0]],"c":[[0.0,1.0,2.0],[3.0,4.0,5.0]]}'
+    assert dump_json(a[:, ::2]) == "[[0.0,2.0],[3.0,5.0]]"
+    assert hooked == [(3, 2), (2, 2)]  # the contiguous array never reaches the hook
+
+
+def test_dump_json_writes_int_and_str_subclasses_as_their_values():
+    assert dump_json([enum.IntEnum("N", "ONE")(1), np.int32(4), np.str_("s")]) == '[1,4,"s"]'
+
+
+def test_dump_json_refuses_integers_orjson_cannot_hold():
+    with pytest.raises(DocumentError, match="serialize"):
+        dump_json({"n": 10**30})
 
 
 def test_read_document_rejects_non_finite_literals(tmp_path):
