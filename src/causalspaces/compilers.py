@@ -33,6 +33,7 @@ from .core import CausalMechanism, CausalSpace
 from .errors import CycleError, DomainError
 from .measure import (
     NORM_TOL,
+    SUBSET_BYTES,
     Dist,
     FiniteProductSpace,
     Kernel,
@@ -40,7 +41,6 @@ from .measure import (
     _normalise,
     check_fits,
     marginal,
-    pinned_kernel,
 )
 
 
@@ -220,10 +220,10 @@ def compile_scm(s: ScmSpec) -> CausalSpace:
     n, n_atoms = space.n, space.n_atoms
     # held at once: the laws and their law_cells tables, n conditional rows
     # and the n coordinate tables they are read through, one product, the
-    # scatter of the largest noise table, and the Python objects (measured
-    # with tracemalloc at n = 4..10: about 1 KB a kernel on 64 KB)
+    # scatter of the largest noise table, and SUBSET_BYTES of Python objects a
+    # kernel on a 64 KB base
     peak = 8 * (2 * n_atoms * 2**n + (2 * n + 1) * n_atoms + 2 * max(t.size for t in s.tables))
-    check_fits(peak + 1024 * 2**n + 2**16, "compiling (the laws, their cell tables and the conditionals)")
+    check_fits(peak + SUBSET_BYTES * 2**n + 2**16, "compiling (the laws, their cell tables and the conditionals)")
     cond = _conditionals(s, space)
     kernels = []
     prod = np.empty(n_atoms)
@@ -382,7 +382,7 @@ def compile_po(s: PoSpec) -> tuple[CausalSpace, PoSpecificationMask]:
             MaskEntry(subset=(0,), scope="covariate-marginal-fallback", rows=tuple(fallback_rows))
         )
     rest = (y_law[:, :, None] * x_given[:, None, :]).reshape(nz, ny * nx)
-    treatment_kernel = pinned_kernel(space, TREATMENT, rest)
+    treatment_kernel = Kernel(space, TREATMENT, law=rest)
 
     kernels = []
     for mask in subsets.all_masks(space.n):
@@ -415,7 +415,7 @@ def _conditionals_with_completion(
     law, masses = _conditional_table(space, mask, p.weights)
     null = masses <= NORM_TOL
     law[null] = marginal(p, space.full & ~mask).weights
-    return pinned_kernel(space, mask, law), np.nonzero(null)[0].tolist()
+    return Kernel(space, mask, law=law), np.nonzero(null)[0].tolist()
 
 
 def ate(

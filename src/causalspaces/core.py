@@ -19,9 +19,8 @@ Intervening on a subset U replaces mass on the U-coordinates by a supplied
 measure and re-routes every kernel through the joint kernel of the union.
 Generic and hard interventions share one rewrite loop and differ only in the
 weights it multiplies the union law with; a kernel whose subset contains U
-is kept as the same object. The trivial mechanism is built a subset at a
-time with measure.pinned_kernel: each row is its point mass times q's
-marginal.
+is kept as the same object. trivial_internal builds its kernels a subset
+at a time from their laws: each row is its point mass times q's marginal.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .measure import (
     conditional_kernel,
     fiber_sums,
     marginal,
-    pinned_kernel,
 )
 
 
@@ -170,8 +168,8 @@ class InterventionSpec:
     internal: Union[CausalSpace, _Hard]
 
 
-def trivial_mechanism(space: FiniteProductSpace, u: int, q: Dist) -> CausalMechanism:
-    """Mechanism on the U-components whose kernels ignore their input.
+def trivial_internal(space: FiniteProductSpace, u: int, q: Dist) -> CausalSpace:
+    """Internal space on the U-components whose kernels ignore their input.
 
     The row at an atom of V is the product of the point mass at that atom
     with the q-marginal on the remaining components. For a q that does not
@@ -186,19 +184,11 @@ def trivial_mechanism(space: FiniteProductSpace, u: int, q: Dist) -> CausalMecha
         raise DomainError("trivial mechanism needs a measure on a nonempty subset")
     sub = space.subspace(u)
     q_sub = Dist(sub, sub.full, q.weights)
-    return CausalMechanism(
-        sub,
-        tuple(
-            pinned_kernel(sub, local, marginal(q_sub, sub.full & ~local).weights)
-            for local in subsets.all_masks(sub.n)
-        ),
+    kernels = tuple(
+        Kernel(sub, local, law=marginal(q_sub, sub.full & ~local).weights)
+        for local in subsets.all_masks(sub.n)
     )
-
-
-def trivial_internal(space: FiniteProductSpace, u: int, q: Dist) -> CausalSpace:
-    """The trivial mechanism packaged as an internal intervention space."""
-    sub = space.subspace(u)
-    return CausalSpace(sub, Dist(sub, sub.full, q.weights), trivial_mechanism(space, u, q))
+    return CausalSpace(sub, q_sub, CausalMechanism(sub, kernels))
 
 
 def mechanism_from_conditionals(space: FiniteProductSpace, p: Dist) -> CausalMechanism:
@@ -262,7 +252,7 @@ def _rewrite(cs: CausalSpace, u: int, q: Dist, mix: Callable[[int], np.ndarray])
             kernels.append(cs.mechanism[s])
             continue
         on_atoms = spread(s & u) * cs.mechanism[s | u].on_atoms()
-        kernels.append(pinned_kernel(space, s, on_atoms[space.law_cells(s)]))
+        kernels.append(Kernel(space, s, law=on_atoms[space.law_cells(s)]))
     return CausalSpace(space, bind(q, cs.mechanism[u]), CausalMechanism(space, tuple(kernels)))
 
 

@@ -34,11 +34,16 @@ def _clean_cov(cov: np.ndarray, what: str) -> np.ndarray:
         raise DomainError(f"{what} covariance must be square, got {c.shape}")
     if not np.isfinite(c).all():
         raise DomainError(f"{what} covariance has a non-finite entry")
-    if c.size and np.abs(c - c.T).max() > SYM_TOL:
-        raise DomainError(f"{what} covariance is not symmetric")
-    c = (c + c.T) / 2.0
+    with np.errstate(over="ignore"):  # an overflow is refused as not finite below
+        if c.size and np.abs(c - c.T).max() > SYM_TOL:
+            raise DomainError(f"{what} covariance is not symmetric")
+        c = (c + c.T) / 2.0
+    if not np.isfinite(c).all():
+        raise DomainError(f"{what} covariance overflows when symmetrised")
     if c.size:
         w = np.linalg.eigvalsh(c)
+        if not np.isfinite(w).all():
+            raise DomainError(f"{what} covariance has an eigenvalue beyond float range")
         if w.min() < -EIG_TOL:
             raise DomainError(f"{what} covariance has eigenvalue {w.min()}")
         if w.min() < 0.0:

@@ -12,6 +12,7 @@ rederives the headline numbers from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,10 +29,8 @@ from .measure import (
     conditional_kernel,
     dirac,
     marginal,
-    pinned_kernel,
     rectangle,
     tv_distance,
-    uniform,
 )
 
 KERNEL_STYLES = ("conditional", "perturbed-conditional", "random")
@@ -76,7 +75,7 @@ def random_causal_space(cfg: RandomSpaceConfig) -> CausalSpace:
     kernels = []
     for s in subsets.all_masks(space.n):
         if s == 0:
-            kernels.append(Kernel(space, 0, p.weights[None, :]))
+            kernels.append(Kernel(space, 0, law=p.weights))
             continue
         cells = space.law_cells(s)
         masses = marginal(p, s).weights
@@ -155,10 +154,10 @@ def ice_cream_shark() -> CausalSpace:
     p = Dist(space, space.full, np.array([0.4, 0.1, 0.1, 0.4]))
     ice, sharks = 0b01, 0b10
     kernels = (
-        Kernel(space, 0, p.weights[None, :]),
-        pinned_kernel(space, ice, marginal(p, sharks).weights),
-        pinned_kernel(space, sharks, marginal(p, ice).weights),
-        Kernel(space, space.full, np.eye(4)),
+        Kernel(space, 0, law=p.weights),
+        Kernel(space, ice, law=marginal(p, sharks).weights),
+        Kernel(space, sharks, law=marginal(p, ice).weights),
+        Kernel(space, space.full, law=[1.0]),
     )
     return CausalSpace(space, p, CausalMechanism(space, kernels))
 
@@ -189,10 +188,10 @@ def discretized_altitude_temperature() -> CausalSpace:
     p = Dist(space, space.full, (base / base.sum()).reshape(-1))
     alt, temp = 0b01, 0b10
     kernels = (
-        Kernel(space, 0, p.weights[None, :]),
+        Kernel(space, 0, law=p.weights),
         conditional_kernel(p, alt),
-        pinned_kernel(space, temp, marginal(p, alt).weights),
-        Kernel(space, space.full, np.eye(9)),
+        Kernel(space, temp, law=marginal(p, alt).weights),
+        Kernel(space, space.full, law=[1.0]),
     )
     return CausalSpace(space, p, CausalMechanism(space, kernels))
 
@@ -349,6 +348,39 @@ class ReversibilityWitness:
         return abs(self.observed - self.claimed)
 
 
+_P_AMOUNT = np.array([0.5, 0.3, 0.2])
+_P_PRICE = np.array([0.2, 0.3, 0.5])
+
+
+def _reversibility_witness(
+    mechanism: Callable[[FiniteProductSpace, Dist], CausalMechanism],
+    q_amount: np.ndarray,
+    q_price: np.ndarray,
+) -> ReversibilityWitness:
+    """Reversibility witness on the two-commodity space.
+
+    The base measure is the product of _P_AMOUNT and _P_PRICE;
+    mechanism(space, p) gives the kernels, and the pair (q_amount, q_price)
+    is tested for mutual consistency under them.
+    """
+    levels = ("low", "mid", "high")
+    space = FiniteProductSpace((("amount", levels), ("price", levels)))
+    amount, price = 0b01, 0b10
+    p = Dist(space, space.full, np.outer(_P_AMOUNT, _P_PRICE).reshape(-1))
+    cs = CausalSpace(space, p, mechanism(space, p))
+    q_on_u = Dist(space, amount, q_amount)
+    q_on_r = Dist(space, price, q_price)
+    premise_error = max(
+        tv_distance(marginal(bind(q_on_u, cs.mechanism[amount]), price), q_on_r),
+        tv_distance(marginal(bind(q_on_r, cs.mechanism[price]), amount), q_on_u),
+    )
+    event = rectangle(space, {"price": ["high"]})
+    return ReversibilityWitness(
+        cs, amount, price, q_on_u, q_on_r, premise_error,
+        event, event.probability(p), event.probability(q_on_r),
+    )
+
+
 def reversibility_counterexample() -> ReversibilityWitness:
     """Two-commodity cycle, quantized to three levels per side.
 
@@ -357,54 +389,22 @@ def reversibility_counterexample() -> ReversibilityWitness:
     uniform marginal on the other. The base measure is nowhere near
     uniform, so consistency says nothing about it.
     """
-    space = FiniteProductSpace(
-        (("amount", ("low", "mid", "high")), ("price", ("low", "mid", "high")))
-    )
-    amount, price = 0b01, 0b10
     to_price = np.array([[0.1, 0.2, 0.7], [0.2, 0.6, 0.2], [0.7, 0.2, 0.1]])
     to_amount = np.array([[0.7, 0.2, 0.1], [0.2, 0.6, 0.2], [0.1, 0.2, 0.7]])
-    p_amount = np.array([0.5, 0.3, 0.2])
-    p_price = np.array([0.2, 0.3, 0.5])
-    p = Dist(space, space.full, np.outer(p_amount, p_price).reshape(-1))
-    kernels = (
-        Kernel(space, 0, p.weights[None, :]),
-        pinned_kernel(space, amount, to_price),
-        pinned_kernel(space, price, to_amount),
-        Kernel(space, space.full, np.eye(9)),
-    )
-    cs = CausalSpace(space, p, CausalMechanism(space, kernels))
-    q_on_u = uniform(space, amount)
-    q_on_r = uniform(space, price)
-    premise_error = max(
-        tv_distance(marginal(bind(q_on_u, cs.mechanism[amount]), price), q_on_r),
-        tv_distance(marginal(bind(q_on_r, cs.mechanism[price]), amount), q_on_u),
-    )
-    event = rectangle(space, {"price": ["high"]})
-    return ReversibilityWitness(
-        cs, amount, price, q_on_u, q_on_r, premise_error,
-        event, event.probability(p), event.probability(q_on_r),
-    )
+
+    def cycle(space: FiniteProductSpace, p: Dist) -> CausalMechanism:
+        return CausalMechanism(space, (
+            Kernel(space, 0, law=p.weights),
+            Kernel(space, 0b01, law=to_price),
+            Kernel(space, 0b10, law=to_amount),
+            Kernel(space, space.full, law=[1.0]),
+        ))
+
+    flat = np.full(3, 1.0 / 3)
+    return _reversibility_witness(cycle, flat, flat)
 
 
 def reversibility_control() -> ReversibilityWitness:
     """Conditional mechanism on a product measure: here mutual consistency
     does force agreement with the base measure."""
-    space = FiniteProductSpace(
-        (("amount", ("low", "mid", "high")), ("price", ("low", "mid", "high")))
-    )
-    amount, price = 0b01, 0b10
-    p_amount = np.array([0.5, 0.3, 0.2])
-    p_price = np.array([0.2, 0.3, 0.5])
-    p = Dist(space, space.full, np.outer(p_amount, p_price).reshape(-1))
-    cs = CausalSpace(space, p, mechanism_from_conditionals(space, p))
-    q_on_u = Dist(space, amount, p_amount)
-    q_on_r = Dist(space, price, p_price)
-    premise_error = max(
-        tv_distance(marginal(bind(q_on_u, cs.mechanism[amount]), price), q_on_r),
-        tv_distance(marginal(bind(q_on_r, cs.mechanism[price]), amount), q_on_u),
-    )
-    event = rectangle(space, {"price": ["high"]})
-    return ReversibilityWitness(
-        cs, amount, price, q_on_u, q_on_r, premise_error,
-        event, event.probability(p), event.probability(q_on_r),
-    )
+    return _reversibility_witness(mechanism_from_conditionals, _P_AMOUNT, _P_PRICE)

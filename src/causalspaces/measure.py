@@ -6,14 +6,16 @@ index ascending, so every object below is a flat numpy array plus the subset
 mask it lives on. Measures and events are dense over their sub-product. A
 probability kernel from S is stored as its law: a (S atom x complement atom)
 table, since every row of a causal kernel is the point mass at its own
-S-atom times a law on the other components. That is 8 * n_atoms bytes per
-kernel whatever S is, and 8 * n_atoms * 2^n for a mechanism; the dense
+S-atom times a law on the other components, and Kernel(law=...) is the
+one way a law becomes a kernel. That is 8 * n_atoms bytes per kernel
+whatever S is, and 8 * n_atoms * 2^n for a mechanism; the dense
 (S atom x full atom) rows are a view derived on demand. Every sum over
 fibers (a marginal, a kernel's row marginals on a subset, the masses of a
 conditional) is one fiber_sums call, a bincount over labels read off the
 cached projection tables. The package trades memory for exhaustive,
 loop-free semantics, and the one size rule, check_fits, refuses what
-physical memory cannot hold (CapError).
+physical memory cannot hold (CapError); a space asks it for its laws,
+their cell tables and SUBSET_BYTES of objects per subset.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ from .errors import CapError, DomainError, NullSetError
 NORM_TOL = 1e-9
 # Constructor window: weights summing within this of 1 are renormalised.
 RENORM_TOL = 1e-6
+# Python objects per subset of a space: its Kernel, the law's array header
+# and the projection cache entries it is read through (tracemalloc over
+# compile_scm at n = 4..10: about 1 KB a kernel).
+SUBSET_BYTES = 1024
 
 
 @functools.cache
@@ -82,9 +88,9 @@ class FiniteProductSpace:
                 raise DomainError(f"component {name!r} has no outcomes")
             if len(set(outcomes)) != len(outcomes):
                 raise DomainError(f"component {name!r} has duplicate outcomes")
-        # per subset, a kernel law of n_atoms floats and its cached law_cells
-        # table of n_atoms indices
-        check_fits(16 * self.n_atoms * 2**n, f"a mechanism over {n} components")
+        # per subset, a kernel law of n_atoms floats, its cached law_cells
+        # table of n_atoms indices, and the objects around them
+        check_fits((16 * self.n_atoms + SUBSET_BYTES) * 2**n, f"a mechanism over {n} components")
 
     @property
     def n(self) -> int:
@@ -278,17 +284,18 @@ def _normalise(weights: np.ndarray, what: str, copy: bool = True) -> np.ndarray:
     if low < 0.0:
         w = np.clip(w, 0.0, None, out=w if owned else None)
         owned = True
-    sums = w.sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # an infinite total fails the window below
+        sums = w.sum(axis=-1, keepdims=True)
     off = np.abs(sums - 1.0)
-    if not off.max(initial=0.0) <= RENORM_TOL:
+    worst = off.max(initial=0.0)
+    if not worst <= RENORM_TOL:
         bad = int(np.argmax(off))
         where = what if w.ndim == 1 else f"{what} row {bad}"
         raise DomainError(
             f"{where} weights sum to {float(sums.flat[bad])!r}, outside the 1e-6 window"
         )
-    fix = off > NORM_TOL
-    if fix.any():
-        w = np.divide(w, sums, out=w if owned else w.copy(), where=fix)
+    if worst > NORM_TOL:
+        w = np.divide(w, sums, out=w if owned else w.copy(), where=off > NORM_TOL)
     return w
 
 
@@ -495,10 +502,14 @@ class Kernel:
     Its row at a source atom w is the point mass at w times a law on the
     complement's atoms (the interventional-determinism axiom), so the kernel
     is stored as law, a read-only (source atom x complement atom) table of
-    n_atoms float64 entries. Build one from that table with
-    Kernel(space, source, law=table) or pinned_kernel, which freeze a table
-    that owns its data in place instead of copying it, or from dense rows
-    over the full atoms with Kernel(space, source, rows). matrix is the
+    n_atoms float64 entries. Build one from its law with
+    Kernel(space, source, law=...), given either the table or one law over
+    the complement's atoms shared by every row (kept as a broadcast view).
+    A law that owns its data is frozen in place instead of copied; a view
+    of writable memory is copied first. On the full source the complement
+    is empty, so a law that passes the weight window is stored as exactly 1
+    and every row is its point mass. Dense rows over the full atoms,
+    Kernel(space, source, rows), are the document form. matrix is the
     dense view, rebuilt on every access.
 
     Row validity (the Dist constructor rule) is enforced here; whether each
@@ -519,14 +530,21 @@ class Kernel:
     def __post_init__(self, rows):
         space = self.space
         space._check_mask(self.source)
-        shape = (space.n_atoms_of(self.source), space.n_atoms_of(space.full & ~self.source))
+        rest = space.full & ~self.source
+        shape = (space.n_atoms_of(self.source), space.n_atoms_of(rest))
         if (rows is None) == (self.law is None):
             raise DomainError("a kernel needs either dense rows or its law")
         if rows is None:
             law = np.asarray(self.law, dtype=np.float64)
+            if law.shape not in (shape, shape[1:]):
+                raise DomainError(f"kernel law shape {law.shape}, expected {shape} or {shape[1:]}")
+            law = _normalise(law, "kernel", copy=False)
+            if rest == 0:
+                # the complement is empty, so its one law is exactly 1
+                law = np.ones(shape)
+            law = _frozen(law)
             if law.shape != shape:
-                raise DomainError(f"kernel law shape {law.shape}, expected {shape}")
-            law = _frozen(_normalise(law, "kernel", copy=False))
+                law = np.broadcast_to(law, shape)
         else:
             m = np.asarray(rows, dtype=np.float64)
             want = (shape[0], space.n_atoms)
@@ -616,27 +634,7 @@ def conditional_kernel(d: Dist, mask: int) -> Kernel:
     if masses.min() <= NORM_TOL:
         bad = int(np.argmin(masses))
         raise NullSetError(f"fiber over atom {bad} of mask {mask:#b} has null mass")
-    return pinned_kernel(d.space, mask, law)
-
-
-def pinned_kernel(space: FiniteProductSpace, source: int, law: np.ndarray) -> Kernel:
-    """Kernel whose row at a source atom is the point mass there times a law.
-
-    law is one law over the complement's atoms, shared by every row (kept
-    as a broadcast view), or one such law per source atom. An array that
-    owns its data becomes the kernel's table without a copy and is made
-    read-only; a view of writable memory is copied first. As in
-    product_weights, a factor on the empty mask contributes nothing, so on
-    the full source every row is its point mass.
-    """
-    space._check_mask(source)
-    shape = (space.n_atoms_of(source), space.n_atoms_of(space.full & ~source))
-    law = np.asarray(law, dtype=np.float64)
-    if law.shape not in (shape[1:], shape):
-        raise DomainError(f"rest shape {law.shape}, expected ({shape[1]},) or {shape}")
-    if source == space.full:
-        law = np.ones(shape)
-    return Kernel(space, source, law=np.broadcast_to(_frozen(law), shape))
+    return Kernel(d.space, mask, law=law)
 
 
 def tv_distance(a: Dist, b: Dist) -> float:

@@ -111,15 +111,45 @@ def test_non_finite_literals_exit_2(runner, tmp_path, xor_space_path):
             assert "Error: " in result.output
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """python -m causalspaces in a fresh interpreter, with Python's default warning filters."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    result = subprocess.run(
-        [sys.executable, "-m", "causalspaces", "--help"], capture_output=True, text=True, env=env
+    return subprocess.run(
+        [sys.executable, "-m", "causalspaces", *args], capture_output=True, text=True, env=env
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    result = _run_module("--help")
     assert result.returncode == 0, result.stderr
     assert "Usage: causalspaces" in result.stdout
+
+
+def test_overflowing_totals_exit_1_with_nothing_on_stderr(tmp_path):
+    # every total below overflows to inf: a DomainError report, and no numpy warning
+    scm = _chain_document(1, 2, 2)
+    scm["noises"][0]["weights"] = [1e308, 1e308]
+    space = {
+        "components": [{"name": name, "outcomes": ["0", "1"]} for name in ("X", "Y")],
+        "p": [1e308] * 4,
+        "mechanism": "conditionals",
+    }
+    po = {"treatments": ["0", "1"], "outcomes": ["0", "1"], "joint": [1e308] * 8}
+    cases = [
+        ("noise.scm.json", scm, "compile", "noise for X0 weights sum to inf"),
+        ("p.space.json", space, "validate", "distribution weights sum to inf"),
+        ("joint.po.json", po, "compile", "joint law weights sum to inf"),
+    ]
+    for name, doc, command, detail in cases:
+        path = tmp_path / name
+        path.write_text(dump_json(doc) + "\n")
+        result = _run_module(command, str(path))
+        assert result.returncode == 1, (name, result.stdout, result.stderr)
+        want = {"error": "DomainError", "detail": f"{detail}, outside the 1e-6 window"}
+        assert json.loads(result.stdout) == want, name
+        assert result.stderr == "", name
 
 
 def test_do_matches_the_factorization_oracle(runner, xor_space_path):
@@ -266,6 +296,29 @@ def test_compile_refuses_what_memory_cannot_hold(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["compile", str(path)])
     assert result.exit_code == 0, result.output
     assert (tmp_path / "noisy.space.json").exists()
+
+
+def test_validate_refuses_subsets_that_memory_cannot_hold(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(measure, "_physical_memory", lambda: 8 * 2**30)
+    # a 1.3 KB document over 23 one-outcome components: its 2^23 kernels
+    # need about 9 GB of objects, so the space is refused before any is built
+    doc = {
+        "components": [{"name": f"X{j}", "outcomes": ["0"]} for j in range(23)],
+        "p": [1.0],
+        "mechanism": "conditionals",
+    }
+    path = tmp_path / "wide.space.json"
+    path.write_text(dump_json(doc) + "\n")
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["validate", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 1, result.output
+    out = json.loads(result.output)
+    assert out["error"] == "CapError" and "a mechanism over 23 components" in out["detail"], out
+    assert peak < 2**20, peak
 
 
 def test_compile_renormalises_noise_weights_within_the_window(runner, tmp_path):

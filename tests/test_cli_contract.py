@@ -1,10 +1,11 @@
 """The CLI's exit-code contract under mutated documents.
 
 Every command ends in exit 0, exit 1 with one JSON report on stdout, or
-exit 2 with a usage message; no other exception escapes. Documents are
-mutated at random JSON paths and written with json.dumps, so the reader
-also meets what the package's writer refuses (ints beyond 64 bits, lone
-surrogates).
+exit 2 with a usage message; no other exception escapes. SCM, PO and space
+documents are mutated at random JSON paths and written with json.dumps, so
+the reader also meets what the package's writer refuses (ints beyond 64
+bits, lone surrogates). A numpy warning escapes as an exception here,
+since the suite turns RuntimeWarning into an error.
 """
 
 import json
@@ -14,8 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from causalspaces.cli import main
-from causalspaces.compilers import compile_scm
-from causalspaces.documents import scm_to_document, space_to_document
+from causalspaces.compilers import PoSpec, compile_scm
+from causalspaces.documents import po_to_document, scm_to_document, space_to_document
 from causalspaces.harness import xor_scm
 
 
@@ -35,6 +36,9 @@ def _as_json(doc) -> dict:
 
 SCMS = [_as_json(scm_to_document(xor_scm())), _chain(3)]
 SPACES = [_as_json(space_to_document(compile_scm(xor_scm())))]
+# two treatments, two outcomes, no covariate: (Z, Y under 0, Y under 1)
+POS = [_as_json(po_to_document(PoSpec(("0", "1"), ("0", "1"), [0.1, 0.15, 0.05, 0.2] * 2)))]
+DOCUMENTS = {"scm": SCMS, "po": POS, "space": SPACES}
 
 
 def _children(node) -> list:
@@ -43,7 +47,18 @@ def _children(node) -> list:
     return list(range(len(node))) if isinstance(node, list) else []
 
 
+def _overflow(node):
+    """node with every number inside it set to 1e308."""
+    if isinstance(node, dict):
+        return {k: _overflow(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_overflow(v) for v in node]
+    return 1e308 if isinstance(node, (int, float)) and not isinstance(node, bool) else node
+
+
 def _mutate(node, op: str):
+    if op == "overflow":
+        return _overflow(node)
     if op in ("empty", "truncate", "extra"):
         items = list(node.items()) if isinstance(node, dict) else node
         cut = {"empty": [], "truncate": items[: len(items) // 2], "extra": items + items[-1:]}
@@ -64,10 +79,11 @@ def _mutate(node, op: str):
     }[op]
 
 
-# containers are emptied, halved, given their last item twice or swapped for a
-# scalar; leaves are swapped for another type, an extreme number or a string
-# with a lone surrogate, which json.dumps escapes and UTF-8 cannot encode
-SHAPE_OPS = ["empty", "truncate", "extra", "str", "null"]
+# containers are emptied, halved, given their last item twice, filled with
+# 1e308 (whose totals overflow) or swapped for a scalar; leaves are swapped for
+# another type, an extreme number or a string with a lone surrogate, which
+# json.dumps escapes and UTF-8 cannot encode
+SHAPE_OPS = ["empty", "truncate", "extra", "overflow", "str", "null"]
 VALUE_OPS = ["negate", "str", "null", "bool", "object", "int", "float", "huge", "max", "tiny",
              "surrogate"]
 
@@ -82,8 +98,8 @@ SPACE_COMMANDS = [
 
 @st.composite
 def mutated(draw):
-    kind = draw(st.sampled_from(["scm", "space"]))
-    doc = json.loads(json.dumps(draw(st.sampled_from(SCMS if kind == "scm" else SPACES))))
+    kind = draw(st.sampled_from(list(DOCUMENTS)))
+    doc = json.loads(json.dumps(draw(st.sampled_from(DOCUMENTS[kind]))))
     for _ in range(draw(st.sampled_from([1, 1, 2]))):
         # a random JSON path: from the root, stop or step into a child
         parent, key, node = None, None, doc
@@ -105,7 +121,7 @@ def test_mutated_documents_keep_the_exit_code_contract(tmp_path, case, command):
     kind, doc = case
     path = tmp_path / f"doc.{kind}.json"
     path.write_text(json.dumps(doc))
-    if kind == "scm":
+    if kind != "space":
         argv = ["compile", str(path), "--out", str(tmp_path / "out.space.json")]
     else:
         argv = [command[0], str(path), *command[1:]]

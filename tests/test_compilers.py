@@ -157,6 +157,14 @@ def test_noise_weight_count_must_match_its_outcomes():
         _noisy_chain((0.5, 0.3, 0.2))
 
 
+def test_overflowing_weight_totals_are_a_domain_error():
+    # each total overflows to inf, which the weight window refuses with no numpy warning
+    with pytest.raises(DomainError, match="noise for A weights sum to inf"):
+        _noisy_chain((1e308, 1e308))
+    with pytest.raises(DomainError, match="joint law weights sum to inf"):
+        PoSpec(treatments=B, outcomes=B, joint=np.full(8, 1e308))
+
+
 def test_table_from_function_is_row_major_over_listed_parents():
     variables = [
         ScmVariable("P0", ("a", "b")),

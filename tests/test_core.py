@@ -129,15 +129,15 @@ def test_event_identity_detects_leaky_row():
 # --------------------------------------------------------- trivial kernels
 
 
-def test_trivial_mechanism_product_rows():
+def test_trivial_internal_product_rows():
     sp = grid22()
     q = M.Dist(sp, 3, [0.25, 0.25, 0.25, 0.25])
-    mech = C.trivial_mechanism(sp, 3, q)
+    mech = C.trivial_internal(sp, 3, q).mechanism
     np.testing.assert_allclose(mech[0b01].matrix[0], [0.5, 0.5, 0.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(mech[0].matrix[0], q.weights, atol=1e-15)
 
 
-def test_trivial_mechanism_valid_even_for_coupled_measure():
+def test_trivial_internal_valid_even_for_coupled_measure():
     sp = grid22()
     q = M.Dist(sp, 3, [0.45, 0.05, 0.05, 0.45])  # far from a product
     internal = C.trivial_internal(sp, 3, M.Dist(sp, 3, q.weights))

@@ -49,6 +49,15 @@ def test_measure_rejects_non_finite_entries(mean, cov):
         Gaussian(mean, cov)
 
 
+def test_measure_rejects_a_covariance_that_overflows():
+    # finite entries whose symmetrised mean overflows
+    with pytest.raises(DomainError, match="overflows when symmetrised"):
+        Gaussian([0.0, 0.0], [[1.5e308, 0.0], [0.0, 1.5e308]])
+    # a finite symmetric matrix whose largest eigenvalue, 1.9e308, is beyond float range
+    with pytest.raises(DomainError, match="eigenvalue beyond float range"):
+        Gaussian(np.zeros(3), 1e307 * np.eye(3) + 6e307 * np.ones((3, 3)))
+
+
 @pytest.mark.parametrize(
     "source, coeff, offset, noise",
     [

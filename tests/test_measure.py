@@ -103,6 +103,19 @@ def test_weights_nan_rejected():
         M.Dist(sp, 0b01, [np.nan, 0.5])
 
 
+def test_overflowing_totals_are_a_domain_error():
+    # each total overflows to inf, which the weight window refuses with no numpy warning
+    sp = grid22()
+    with pytest.raises(DomainError, match="distribution weights sum to inf"):
+        M.Dist(sp, 0b01, [1e308, 1e308])
+    with pytest.raises(DomainError, match="kernel weights sum to inf"):
+        M.Kernel(sp, 0b01, law=[1e308, 1e308])
+    with pytest.raises(DomainError, match="kernel row 1 weights sum to inf"):
+        M.Kernel(sp, 0b01, law=[[0.5, 0.5], [1e308, 1e308]])
+    with pytest.raises(DomainError, match="kernel row 0 weights sum to inf"):
+        M.Kernel(sp, 0b01, [[1e308, 0.0, 1e308, 0.0], [0.0, 0.5, 0.0, 0.5]])
+
+
 def test_normalisation_idempotent_bitwise():
     sp = grid22()
     w = np.array([0.5, 0.3, 0.1, 0.1])
@@ -121,18 +134,28 @@ def test_null_conditioning_is_hard_error():
 
 
 def test_component_cap():
-    # the rule counts the laws and their cached law cells, 16 * n_atoms * 2^n
-    # bytes: 13 components of 4 outcomes need 8.8e12
+    # the rule counts the laws, their cached law cells and the objects of each
+    # subset, (16 * n_atoms + SUBSET_BYTES) * 2^n bytes: 13 components of 4
+    # outcomes need 8.8e12
     comps = tuple((f"c{t}", ("0", "1", "2", "3")) for t in range(13))
     with pytest.raises(CapError, match=r"needs 8\.80e\+12 bytes"):
         M.FiniteProductSpace(comps)
-    # 12 binary components need 268 MB (17.4 GB as dense rows)
+    # 12 binary components need 272 MB (17.4 GB as dense rows)
     assert M.FiniteProductSpace(tuple((f"c{t}", ("0", "1")) for t in range(12))).n == 12
-    # the rule counts bytes, not components: 13 one-outcome components need 128 KB
+    # the rule counts bytes, not components: 13 one-outcome components need 8.5 MB
     assert M.FiniteProductSpace(tuple((f"c{t}", ("0",)) for t in range(13))).n == 13
     # a size beyond float range still makes a one-line CapError
     with pytest.raises(CapError, match=r"needs 1\.90e\+390 bytes"):
         M.FiniteProductSpace(tuple((f"c{t}", ("0", "1", "2")) for t in range(500)))
+
+
+def test_space_rule_counts_the_objects_of_each_subset(monkeypatch):
+    monkeypatch.setattr(M, "_physical_memory", lambda: 8 * 2**30)
+    ones = [(f"c{t}", ("0",)) for t in range(23)]
+    # 2^23 one-atom laws take 134 MB, but their kernels and cache entries about 9 GB
+    with pytest.raises(CapError, match=r"23 components needs 8\.72e\+9 bytes"):
+        M.FiniteProductSpace(tuple(ones))
+    assert M.FiniteProductSpace(tuple(ones[:22])).n == 22
 
 
 def test_size_rule_is_physical_memory(monkeypatch):
@@ -176,10 +199,11 @@ def test_law_kernel_keeps_its_table_read_only():
         k = M.Kernel(sp, 0b011, law=view)
         assert not np.shares_memory(k.law, owner) and not k.law.flags.writeable
     assert owner.flags.writeable
-    # pinned_kernel keeps one shared law as a broadcast view of its frozen self
+    # one shared law is kept as a broadcast view of its frozen self
     shared = np.array([0.25, 0.75])
-    k = M.pinned_kernel(sp, 0b011, shared)
+    k = M.Kernel(sp, 0b011, law=shared)
     assert np.shares_memory(k.law, shared) and not shared.flags.writeable
+    assert k.law.shape == (6, 2) and k.law.strides[0] == 0
     with pytest.raises(DomainError, match=r"kernel law shape \(6, 3\), expected \(6, 2\)"):
         M.Kernel(sp, 0b011, law=np.full((6, 3), 1 / 3))
     with pytest.raises(DomainError, match="either dense rows or its law"):
@@ -194,7 +218,7 @@ def test_dense_rows_become_a_law_unless_they_leak():
     sp = grid232()
     rng = np.random.default_rng(3)
     law = rng.dirichlet(np.ones(3), size=4)  # source A,C; complement B
-    dense = M.pinned_kernel(sp, 0b101, law).matrix
+    dense = M.Kernel(sp, 0b101, law=law).matrix
     k = M.Kernel(sp, 0b101, dense)
     assert k.leaky_rows is None
     assert np.array_equal(k.law, law) and np.array_equal(k.matrix, dense)
@@ -235,14 +259,14 @@ def grid232():
 
 
 @pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per-row"])
-def test_pinned_kernel_rows_are_point_times_law(per_row):
+def test_law_kernel_rows_are_point_times_law(per_row):
     sp = grid232()
     rng = np.random.default_rng(11)
     for source in subsets.all_masks(sp.n):
         rest = sp.full & ~source
         n_rows, n_rest = sp.n_atoms_of(source), sp.n_atoms_of(rest)
         law = rng.dirichlet(np.ones(n_rest), size=n_rows if per_row else None)
-        k = M.pinned_kernel(sp, source, law)
+        k = M.Kernel(sp, source, law=law)
         assert k.source == source
         for i in range(n_rows):
             point = np.zeros(n_rows)
@@ -252,21 +276,26 @@ def test_pinned_kernel_rows_are_point_times_law(per_row):
             assert np.array_equal(k.matrix[i], want), (source, i)
 
 
-def test_pinned_kernel_source_edges():
+def test_law_kernel_source_edges():
     sp = grid232()
     law = np.arange(1.0, 13.0) / 78.0
-    np.testing.assert_array_equal(M.pinned_kernel(sp, 0, law).matrix, law[None, :])
-    np.testing.assert_array_equal(M.pinned_kernel(sp, sp.full, [1.0]).matrix, np.eye(12))
+    np.testing.assert_array_equal(M.Kernel(sp, 0, law=law).matrix, law[None, :])
+    np.testing.assert_array_equal(M.Kernel(sp, sp.full, law=[1.0]).matrix, np.eye(12))
     per_row = np.ones((12, 1))
-    np.testing.assert_array_equal(M.pinned_kernel(sp, sp.full, per_row).matrix, np.eye(12))
+    np.testing.assert_array_equal(M.Kernel(sp, sp.full, law=per_row).matrix, np.eye(12))
+    # the complement of the full source is empty: a law within the window is
+    # stored as exactly 1, and one that is not a distribution is refused
+    assert np.array_equal(M.Kernel(sp, sp.full, law=per_row - 2**-53).law, per_row)
+    with pytest.raises(DomainError, match=r"kernel weights sum to 0\.5"):
+        M.Kernel(sp, sp.full, law=[0.5])
     with pytest.raises(DomainError, match="shape"):
-        M.pinned_kernel(sp, 0b001, np.full(3, 1 / 3))
+        M.Kernel(sp, 0b001, law=np.full(3, 1 / 3))
     with pytest.raises(DomainError, match="shape"):
-        M.pinned_kernel(sp, 0b001, np.full((3, 6), 1 / 6))
+        M.Kernel(sp, 0b001, law=np.full((3, 6), 1 / 6))
 
 
 @pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per-row"])
-def test_pinned_kernels_form_a_valid_space(per_row):
+def test_law_kernels_form_a_valid_space(per_row):
     sp = grid232()
     rng = np.random.default_rng(12)
     p = M.Dist(sp, sp.full, rng.dirichlet(np.ones(sp.n_atoms)))
@@ -276,7 +305,7 @@ def test_pinned_kernels_form_a_valid_space(per_row):
         law = M.marginal(p, rest).weights
         if per_row:
             law = rng.dirichlet(np.ones(len(law)), size=sp.n_atoms_of(source))
-        kernels.append(M.pinned_kernel(sp, source, law))
+        kernels.append(M.Kernel(sp, source, law=law))
     cs = CausalSpace(sp, p, CausalMechanism(sp, tuple(kernels)))
     assert validate_causal_space(cs).ok
 

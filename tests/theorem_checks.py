@@ -20,7 +20,6 @@ from causalspaces.core import (
     intervene_hard,
     mechanism_from_conditionals,
     trivial_internal,
-    trivial_mechanism,
     validate_causal_space,
 )
 from causalspaces.effects import (
@@ -79,7 +78,7 @@ def _internal_matrix(cs: CausalSpace, spec: InterventionSpec, s: int) -> np.ndar
     """Rows of L_{S} over the subset product, for S inside the intervened set."""
     local = subsets.local_mask(s, spec.subset)
     if spec.internal is HARD:
-        mech = trivial_mechanism(cs.space, spec.subset, spec.measure)
+        mech = trivial_internal(cs.space, spec.subset, spec.measure).mechanism
     else:
         mech = spec.internal.mechanism
     return mech[local].matrix
