@@ -10,7 +10,6 @@ format with a command-line front end.
 """
 
 from .core import (
-    HARD,
     CausalMechanism,
     CausalSpace,
     InterventionSpec,
@@ -43,7 +42,6 @@ __all__ = [
     "EffectClass",
     "Event",
     "FiniteProductSpace",
-    "HARD",
     "InterventionSpec",
     "Kernel",
     "SingularBlockError",

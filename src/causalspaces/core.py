@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -146,26 +146,18 @@ def validate_causal_space(cs: CausalSpace, tol: float = NORM_TOL) -> ValidationR
     return ValidationReport(tuple(out))
 
 
-class _Hard:
-    def __repr__(self):
-        return "HARD"
-
-
-#: Marker for InterventionSpec.internal requesting the closed-form hard path.
-HARD = _Hard()
-
-
 @dataclass(frozen=True)
 class InterventionSpec:
     """What to intervene on: subset mask, new measure on it, internal mechanism.
 
-    internal is a CausalSpace on the subset's components (its observational
-    measure must coincide with measure) or HARD for a hard intervention.
+    internal is a CausalSpace on the subset's components; its observational
+    measure must coincide with measure. A hard intervention, the one with
+    trivial internal kernels, is asked for with intervene_hard.
     """
 
     subset: int
     measure: Dist
-    internal: Union[CausalSpace, _Hard]
+    internal: CausalSpace
 
 
 def trivial_internal(space: FiniteProductSpace, u: int, q: Dist) -> CausalSpace:
@@ -210,11 +202,9 @@ def _check_spec(cs: CausalSpace, spec: InterventionSpec) -> None:
     space._check_mask(spec.subset)
     if spec.measure.space != space or spec.measure.domain != spec.subset:
         raise DomainError("intervention measure must live on the intervened subset")
-    if spec.internal is HARD or spec.subset == 0:
-        return
     internal = spec.internal
     if not isinstance(internal, CausalSpace):
-        raise DomainError("internal mechanism must be a CausalSpace or HARD")
+        raise DomainError("internal mechanism must be a CausalSpace")
     sub = space.subspace(spec.subset)
     if internal.space != sub:
         raise DomainError("internal mechanism must live on the intervened components")
@@ -268,15 +258,12 @@ def intervene(cs: CausalSpace, spec: InterventionSpec) -> CausalSpace:
     Only columns u' that agree with w on S&U enter the sum, which is what
     the internal kernel's law holds; off-block mass up to NORM_TOL from a
     tolerance-valid internal mechanism is dropped. The new observational
-    measure is measure bound through the U-kernel. Intervening on the empty
-    subset returns an identical space.
+    measure is measure bound through the U-kernel. The subset is nonempty,
+    since an internal space needs a component; intervene_hard takes the
+    empty subset.
     """
     _check_spec(cs, spec)
     u = spec.subset
-    if u == 0:
-        return CausalSpace(cs.space, cs.observational, cs.mechanism)
-    if spec.internal is HARD:
-        return intervene_hard(cs, u, spec.measure)
     internal = spec.internal
 
     def mix(inside: int) -> np.ndarray:

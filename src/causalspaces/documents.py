@@ -35,7 +35,6 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-import orjson
 
 from . import subsets
 from .compilers import NoiseTerm, PoSpec, ScmSpec, ScmVariable
@@ -50,11 +49,6 @@ MASK_SUFFIX = ".mask.json"
 
 
 # ------------------------------------------------------------ JSON egress
-
-_DUMP_OPTIONS = (
-    orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME
-)
-
 
 def _plain(o):
     """orjson hook for the numpy arrays and scalars it does not format itself.
@@ -109,9 +103,15 @@ def _check(o) -> None:
 
 
 def _encode(obj) -> bytes:
+    # imported here, so that a process which never writes JSON never loads orjson
+    import orjson
+
     _check(obj)
+    options = (
+        orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME
+    )
     try:
-        return orjson.dumps(obj, default=_plain, option=_DUMP_OPTIONS)
+        return orjson.dumps(obj, default=_plain, option=options)
     except orjson.JSONEncodeError as exc:  # an int beyond 64 bits, a lone surrogate
         raise DocumentError(f"cannot serialize to a document: {exc}") from exc
 

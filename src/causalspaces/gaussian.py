@@ -14,7 +14,8 @@ block itself is nonsingular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -156,17 +157,16 @@ class GaussianKernel:
 class GaussianSpace:
     """Named jointly-Gaussian coordinates plus per-subset kernels.
 
-    kernels maps subset masks to kernels; masks not stored are built on
-    demand by builder (the Brownian grid composes its kernels this way).
     The empty and full subsets always resolve: to the observational measure
-    and to the identity map.
+    and to the identity map. Every other mask goes to kernel_of, which
+    returns its kernel or None (a fixture passes its dict's get, the
+    Brownian grid a memoised builder).
     """
 
     names: tuple[str, ...]
     mean: np.ndarray
     cov: np.ndarray
-    kernels: dict[int, GaussianKernel] = field(default_factory=dict)
-    builder: Callable[[int], GaussianKernel] | None = None
+    kernel_of: Callable[[int], GaussianKernel | None] | None = None
 
     def __post_init__(self):
         g = Gaussian(self.mean, self.cov)
@@ -197,20 +197,15 @@ class GaussianSpace:
     def kernel(self, mask: int) -> GaussianKernel:
         if not 0 <= mask <= self.full:
             raise DomainError(f"mask {mask:#b} outside this {self.n}-coordinate space")
-        hit = self.kernels.get(mask)
-        if hit is not None:
-            return hit
         if mask == 0:
-            k = GaussianKernel(0, np.zeros((self.n, 0)), self.mean, self.cov)
-        elif mask == self.full:
-            k = GaussianKernel(
+            return GaussianKernel(0, np.zeros((self.n, 0)), self.mean, self.cov)
+        if mask == self.full:
+            return GaussianKernel(
                 self.full, np.eye(self.n), np.zeros(self.n), np.zeros((self.n, self.n))
             )
-        elif self.builder is not None:
-            k = self.builder(mask)
-        else:
+        k = None if self.kernel_of is None else self.kernel_of(mask)
+        if k is None:
             raise DomainError(f"no kernel stored for subset {mask:#b}")
-        self.kernels[mask] = k
         return k
 
 
@@ -319,7 +314,7 @@ def altitude_temperature() -> GaussianSpace:
         np.array([[300.0, 0.0], [0.0, 0.0]]),
     )
     return GaussianSpace(
-        ("altitude", "temperature"), mean, cov, {0b01: k_alt, 0b10: k_temp}
+        ("altitude", "temperature"), mean, cov, {0b01: k_alt, 0b10: k_temp}.get
     )
 
 
@@ -345,7 +340,7 @@ def rice_market() -> GaussianSpace:
         np.array([1.0, 0.0]),
         np.array([[0.25, 0.0], [0.0, 0.0]]),
     )
-    return GaussianSpace(("amount", "price"), mean, cov, {0b01: k_amount, 0b10: k_price})
+    return GaussianSpace(("amount", "price"), mean, cov, {0b01: k_amount, 0b10: k_price}.get)
 
 
 def brownian_grid(n_steps: int, horizon: float = 1.0) -> GaussianSpace:
@@ -367,6 +362,7 @@ def brownian_grid(n_steps: int, horizon: float = 1.0) -> GaussianSpace:
     cov = np.minimum.outer(times, times)
     names = tuple(f"W({t:g})" for t in times)
 
+    @functools.cache
     def build(mask: int) -> GaussianKernel:
         idx = np.array(subsets.indices_of(mask), dtype=np.intp)
         # k[i]: position in idx of the latest intervened time at or before i, or -1
@@ -381,4 +377,4 @@ def brownian_grid(n_steps: int, horizon: float = 1.0) -> GaussianSpace:
         s = np.where(same, cov - start[:, None], 0.0)
         return GaussianKernel(mask, a, np.zeros(n_steps), s)
 
-    return GaussianSpace(names, np.zeros(n_steps), cov, {}, build)
+    return GaussianSpace(names, np.zeros(n_steps), cov, build)

@@ -138,6 +138,11 @@ class FiniteProductSpace:
         if not 0 <= mask <= self.full:
             raise DomainError(f"mask {mask:#b} outside this {self.n}-component space")
 
+    def _check_atom(self, mask: int, index: int) -> None:
+        n = self.n_atoms_of(mask)
+        if not 0 <= index < n:
+            raise DomainError(f"atom {index} outside the {n} atoms over mask {mask:#b}")
+
     def _strides(self, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(sizes, strides) over mask's components, ascending index, row-major."""
         idx = subsets.indices_of(mask)
@@ -207,6 +212,7 @@ class FiniteProductSpace:
         return out
 
     def coords_of(self, mask: int, index: int) -> tuple[int, ...]:
+        self._check_atom(mask, index)
         sizes, strides = self._strides(mask)
         return tuple((index // st) % sz for sz, st in zip(sizes, strides))
 
@@ -328,6 +334,7 @@ class Dist:
 
 def dirac(space: FiniteProductSpace, at: Atom) -> Dist:
     """Point mass at an atom of the sub-product over at.mask."""
+    space._check_atom(at.mask, at.index)
     w = np.zeros(space.n_atoms_of(at.mask))
     w[at.index] = 1.0
     return Dist(space, at.mask, w)
@@ -367,6 +374,7 @@ def condition(d: Dist, at: Atom) -> Dist:
     """
     if not subsets.is_subset(at.mask, d.domain):
         raise DomainError("conditioning atom must be inside the domain")
+    d.space._check_atom(at.mask, at.index)
     proj = d.space.atom_projection(d.domain, at.mask)
     fiber = proj == at.index
     total = float(d.weights[fiber].sum())

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from .errors import DomainError
+
 
 def full_mask(n: int) -> int:
     return (1 << n) - 1
@@ -41,10 +43,10 @@ def mask_of(indices) -> int:
     m = 0
     for t in indices:
         if t < 0:
-            raise ValueError(f"negative component index {t}")
+            raise DomainError(f"negative component index {t}")
         b = 1 << t
         if m & b:
-            raise ValueError(f"duplicate component index {t}")
+            raise DomainError(f"duplicate component index {t}")
         m |= b
     return m
 
@@ -59,7 +61,7 @@ def local_mask(sub: int, sup: int) -> int:
     Example: sub={2}, sup={0,2} -> 0b10 (second component of the sup-list).
     """
     if not is_subset(sub, sup):
-        raise ValueError("sub must be contained in sup")
+        raise DomainError("sub must be contained in sup")
     out = 0
     for pos, t in enumerate(bits(sup)):
         if sub & (1 << t):

@@ -60,6 +60,27 @@ def test_validate_reports_axiom_violations(runner, tmp_path, xor_space_path):
     assert any(v["subset"] == "0" and v["row"] == 0 for v in report["violations"])
 
 
+def test_do_and_classify_refuse_a_leaky_document_with_the_validate_report(
+    runner, tmp_path, xor_space_path
+):
+    doc = read_document(xor_space_path)
+    doc["kernels"]["0"][0] = [0.0, 0.0, 0.5, 0.5]  # row 0 of the X-kernel leaks off X = 0
+    bad = tmp_path / "bad.space.json"
+    bad.write_text(dump_json(doc) + "\n")
+    report = runner.invoke(main, ["validate", str(bad)])
+    assert report.exit_code == 1
+    assert json.loads(report.stdout)["valid"] is False
+    for argv in (
+        ["do", str(bad), "--on", "X", "--dirac", "1"],
+        ["do", str(bad), "--on", "X", "--dirac", "1", "--hard"],
+        ["classify", str(bad), "--u", "X", "--event", "Y=1"],
+        ["classify", str(bad), "--u", "X", "--event", "Y=1", "--given", "Y"],
+    ):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1, argv
+        assert result.stdout == report.stdout, argv
+
+
 def test_parse_problems_exit_2(runner, tmp_path, xor_space_path):
     mangled = tmp_path / "broken.space.json"
     mangled.write_text('{"components": [,]}')

@@ -134,3 +134,66 @@ def test_mutated_documents_keep_the_exit_code_contract(tmp_path, case, command):
         assert len(lines) == 1, (argv, doc, result.output)
         report = json.loads(lines[0])
         assert isinstance(report, dict) and ("error" in report or "valid" in report), report
+
+
+# each flag value is a well-formed one, one with a piece appended, or pieces
+# of the grammars glued at random, among them numbers at float's edges, a
+# lone surrogate and NUL
+FLAG_PIECES = ["X", "Y", "0", "1", ",", "&", "=", "{", "}", " in ", "[]", "nan", "inf", "1e308",
+               "-", " ", "\ud800", "\x00"]
+WELL_FORMED = {
+    "subset": ["X", "Y", "0", "1", "X,Y", "", "[]"],
+    "atom": ["0", "1", "1,0"],
+    "weights": ["0.5,0.5", "1,0", "0.25,0.25,0.25,0.25", "1e308,1"],
+    "event": ["Y=1", "X=0", "Y in {0,1}", "X=1 & Y=0", "Y in {}"],
+}
+
+
+@st.composite
+def flag(draw, kind: str):
+    pieces = st.sampled_from(FLAG_PIECES)
+    well = draw(st.sampled_from(WELL_FORMED[kind]))
+    # mostly well-formed, so that whole commands also get past the parser
+    how = draw(st.sampled_from(["well"] * 4 + ["appended", "glued"]))
+    if how == "well":
+        return well
+    if how == "appended":
+        return well + draw(pieces)
+    return "".join(draw(st.lists(pieces, max_size=6)))
+
+
+@st.composite
+def flagged_command(draw):
+    if draw(st.booleans()):
+        argv = ["do", "--on", draw(flag("subset"))]
+        point = draw(st.sampled_from([None, "--dirac", "--q"]))
+        if point is not None:
+            argv += [point, draw(flag("atom" if point == "--dirac" else "weights"))]
+        if draw(st.booleans()):
+            argv.append("--hard")
+        for _ in range(draw(st.integers(0, 2))):
+            argv += ["--query", draw(flag("event"))]
+    else:
+        argv = ["classify", "--u", draw(flag("subset")), "--event", draw(flag("event"))]
+        if draw(st.booleans()):
+            argv += ["--given", draw(flag("subset"))]
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=flagged_command())
+def test_fuzzed_flags_keep_the_exit_code_contract(tmp_path, command):
+    path = tmp_path / "xor.space.json"
+    if not path.exists():
+        path.write_text(json.dumps(SPACES[0]))
+    argv = [command[0], str(path), *command[1:]]
+    result = CliRunner().invoke(main, argv)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        argv, result.exception)
+    assert result.exit_code in (0, 1, 2), (argv, result.output)
+    if result.exit_code == 1:
+        lines = result.stdout.splitlines()
+        assert len(lines) == 1, (argv, result.output)
+        report = json.loads(lines[0])
+        assert isinstance(report, dict) and "error" in report, report

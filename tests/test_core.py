@@ -166,7 +166,7 @@ def test_conditional_mechanism_caches_no_dense_matrix():
 def test_empty_intervention_is_identity():
     cs = xor_space()
     q = M.Dist(cs.space, 0, [1.0])
-    out = C.intervene(cs, C.InterventionSpec(0, q, C.HARD))
+    out = C.intervene_hard(cs, 0, q)
     assert np.array_equal(out.observational.weights, cs.observational.weights)
     for mask in subsets.all_masks(cs.space.n):
         assert np.array_equal(out.mechanism[mask].matrix, cs.mechanism[mask].matrix)
@@ -288,8 +288,10 @@ def test_kernels_over_supersets_of_u_are_shared(path):
     cs = random_space(5, sizes=(2, 3, 2))
     u = 0b101
     q, internal = random_internal(cs, u, 13)
-    spec = C.InterventionSpec(u, q, C.HARD if path == "hard" else internal)
-    done = C.intervene(cs, spec)
+    if path == "hard":
+        done = C.intervene_hard(cs, u, q)
+    else:
+        done = C.intervene(cs, C.InterventionSpec(u, q, internal))
     for s in subsets.all_masks(cs.space.n):
         # Remark D.1(a): a kernel handed every intervened coordinate is unchanged
         assert (done.mechanism[s] is cs.mechanism[s]) == subsets.is_subset(u, s)
@@ -302,7 +304,32 @@ def test_spec_rejects_mismatched_measure():
     cs = xor_space()
     q = M.Dist(cs.space, 0b10, [0.5, 0.5])
     with pytest.raises(DomainError):
-        C.intervene(cs, C.InterventionSpec(0b01, q, C.HARD))
+        C.intervene_hard(cs, 0b01, q)
+
+
+def test_generic_spec_rejects_mismatched_measure():
+    cs = xor_space()
+    internal = C.trivial_internal(cs.space, 0b01, M.Dist(cs.space, 0b01, [0.5, 0.5]))
+    q = M.Dist(cs.space, 0b10, [0.5, 0.5])
+    with pytest.raises(DomainError, match="intervened subset"):
+        C.intervene(cs, C.InterventionSpec(0b01, q, internal))
+
+
+def test_intervene_refuses_an_internal_that_is_not_a_causal_space():
+    cs = xor_space()
+    q = M.Dist(cs.space, 0b01, [0.3, 0.7])
+    mechanism = C.trivial_internal(cs.space, 0b01, q).mechanism
+    for internal in (None, "hard", mechanism):
+        with pytest.raises(DomainError, match="must be a CausalSpace"):
+            C.intervene(cs, C.InterventionSpec(0b01, q, internal))
+
+
+def test_intervene_leaves_the_empty_subset_to_intervene_hard():
+    cs = xor_space()
+    q = M.Dist(cs.space, 0, [1.0])
+    internal = C.trivial_internal(cs.space, 0b01, M.Dist(cs.space, 0b01, [0.5, 0.5]))
+    with pytest.raises(DomainError, match="at least one component"):
+        C.intervene(cs, C.InterventionSpec(0, q, internal))
 
 
 def test_spec_rejects_internal_measure_disagreement():

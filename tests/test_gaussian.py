@@ -115,6 +115,24 @@ def test_space_resolves_trivial_subsets():
         gs.kernel(1 << 9)
 
 
+def test_space_leaves_its_callers_kernels_unchanged():
+    k = altitude_temperature().kernel(0b01)
+    stored = {0b01: k}
+    gs = GaussianSpace(("altitude", "temperature"), [0.0, 0.0], np.eye(2), stored.get)
+    assert gs.kernel(0b01) is k
+    gs.kernel(0)
+    gs.kernel(0b11)
+    with pytest.raises(DomainError, match="no kernel stored"):
+        gs.kernel(0b10)
+    assert stored == {0b01: k}
+
+
+def test_brownian_grid_builds_each_kernel_once():
+    bg = brownian_grid(10, 1.0)
+    assert bg.kernel(0b1010) is bg.kernel(0b1010)
+    assert bg.kernel(0b1010) is not bg.kernel(0b0101)
+
+
 def test_altitude_fixture_closed_forms():
     at = altitude_temperature()
     do_alt = g_intervene(at, 0b01, [1000.0])

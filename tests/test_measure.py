@@ -74,6 +74,30 @@ def test_dirac():
     np.testing.assert_array_equal(M.marginal(d, 0b01).weights, [0.0, 1.0])
 
 
+def grid23():
+    return M.FiniteProductSpace((("A", ("0", "1")), ("B", ("0", "1", "2"))))
+
+
+OUT_OF_RANGE = {
+    "coords_of-past-end": lambda sp: sp.coords_of(0b11, 7),
+    "coords_of-negative": lambda sp: sp.coords_of(0b11, -1),
+    "labels_of": lambda sp: sp.labels_of(M.Atom(0b11, 9)),
+    "dirac-negative": lambda sp: M.dirac(sp, M.Atom(0b11, -1)),
+    "dirac-past-end": lambda sp: M.dirac(sp, M.Atom(0b11, 6)),
+    "condition": lambda sp: M.condition(M.uniform(sp, sp.full), M.Atom(0b01, 5)),
+    "mask_of-duplicate": lambda sp: sp.mask_of(["A", "A"]),
+    "local_mask-not-contained": lambda sp: subsets.local_mask(0b01, 0b10),
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE))
+def test_indices_outside_their_range_are_a_domain_error(case):
+    # a wrapped-around index would read another atom, and a raw IndexError
+    # or ValueError would escape the typed errors
+    with pytest.raises(DomainError):
+        OUT_OF_RANGE[case](grid23())
+
+
 # ------------------------------------------------------- constructor rules
 
 

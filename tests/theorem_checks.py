@@ -13,7 +13,6 @@ import numpy as np
 from causalspaces import subsets
 from causalspaces.compilers import compile_scm
 from causalspaces.core import (
-    HARD,
     CausalSpace,
     InterventionSpec,
     intervene,
@@ -76,12 +75,7 @@ def _err(a, b) -> float:
 
 def _internal_matrix(cs: CausalSpace, spec: InterventionSpec, s: int) -> np.ndarray:
     """Rows of L_{S} over the subset product, for S inside the intervened set."""
-    local = subsets.local_mask(s, spec.subset)
-    if spec.internal is HARD:
-        mech = trivial_internal(cs.space, spec.subset, spec.measure).mechanism
-    else:
-        mech = spec.internal.mechanism
-    return mech[local].matrix
+    return spec.internal.mechanism[subsets.local_mask(s, spec.subset)].matrix
 
 
 def check_empty_intervention(cs: CausalSpace) -> list[str]:
@@ -144,9 +138,10 @@ def check_intervention(cs: CausalSpace, spec: InterventionSpec):
 
 def check_hard_vs_generic(cs: CausalSpace, u: int, q: Dist):
     hard = intervene_hard(cs, u, q)
-    generic = intervene(
-        cs, InterventionSpec(u, q, trivial_internal(cs.space, u, q) if u else HARD)
-    )
+    if u:
+        generic = intervene(cs, InterventionSpec(u, q, trivial_internal(cs.space, u, q)))
+    else:
+        generic = intervene_hard(cs, u, q)
     out = []
     if _err(hard.observational.weights, generic.observational.weights) > TOL:
         out.append("hard vs generic measures differ")
