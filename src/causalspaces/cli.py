@@ -16,14 +16,10 @@ import numpy as np
 
 from . import documents as docs
 from .compilers import compile_po, compile_scm
-from .core import (
-    InterventionSpec,
-    ValidationReport,
-    intervene,
-    intervene_hard,
-    trivial_internal,
-    validate_causal_space,
-)
+from .core import ValidationReport, validate_causal_space
+# unused here; perfbench/tracing.py wraps these three by their cli names until
+# the bench reads trace spans instead of patching names
+from .core import intervene, intervene_hard, trivial_internal  # noqa: F401
 from .effects import classify_effect, has_no_effect_given
 from .errors import CausalSpacesError, CycleError, DocumentError
 from .gaussian import (
@@ -33,7 +29,7 @@ from .gaussian import (
     g_intervene,
     rice_market,
 )
-from .measure import Dist
+from .measure import Dist, bind
 
 
 def _semantic(payload: dict):
@@ -106,7 +102,7 @@ def validate(path):
 @click.option("--on", "on_", required=True, help="Intervened components (indices or names).")
 @click.option("--dirac", default=None, help="Point atom as comma-joined outcome labels.")
 @click.option("--q", "q_", default=None, help="Weights over the subset atoms, row-major.")
-@click.option("--hard", is_flag=True, help="Use the closed-form hard-intervention path.")
+@click.option("--hard", is_flag=True, help="Label the output as a hard intervention.")
 @click.option("--query", multiple=True, help="Event expression to evaluate under p_do.")
 @_guarded
 def cmd_do(path, on_, dirac, q_, hard, query):
@@ -135,22 +131,19 @@ def cmd_do(path, on_, dirac, q_, hard, query):
         # a measure that is not a distribution is a flag error, not a model error
         raise DocumentError(str(exc)) from exc
 
-    if hard or u == 0:
-        done = intervene_hard(cs, u, q)
-    else:
-        done = intervene(cs, InterventionSpec(u, q, trivial_internal(space, u, q)))
+    # any intervention on U, hard or not, has q bound through K_U as its new
+    # measure, and only that measure is printed
+    p_do = bind(q, cs.mechanism[u]) if u else cs.observational
     out = {
         "on": docs.subset_key(u),
         "hard": bool(hard),
-        "p_do": done.observational.weights,
+        "p_do": p_do.weights,
     }
     if query:
         probs = {}
         for expr in query:
             ev = docs.parse_event(space, expr)
-            probs[expr] = float(
-                done.observational.weights @ ev.indicator(space.full)
-            )
+            probs[expr] = float(p_do.weights @ ev.indicator(space.full))
         out["queries"] = probs
     click.echo(docs.dump_json(out))
 

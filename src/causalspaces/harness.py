@@ -18,7 +18,7 @@ import numpy as np
 
 from . import subsets
 from .compilers import NoiseTerm, ScmSpec, ScmVariable, compile_scm, scm_from_functions
-from .core import CausalMechanism, CausalSpace, intervene_hard, mechanism_from_conditionals
+from .core import CausalMechanism, CausalSpace, mechanism_from_conditionals
 from .errors import DomainError
 from .measure import (
     Dist,
@@ -304,10 +304,10 @@ def _composition_witness(coupling: float) -> CompositionWitness:
     space = cs.space
     s = space.mask_of(["X3"])
     q = dirac(space, space.atom_from_labels({"X3": "1"}))
-    first = intervene_hard(cs, s, q).observational
+    first = bind(q, cs.mechanism[s])
     r = space.mask_of(["X1"])
     q_prime = marginal(first, s | r)
-    second = intervene_hard(cs, s | r, q_prime).observational
+    second = bind(q_prime, cs.mechanism[s | r])
     event = rectangle(space, {"Y": ["1"]})
     return CompositionWitness(
         cs, s, q, r, q_prime, event,

@@ -482,10 +482,6 @@ class Event:
         return Event(self.space, mask, flags)
 
 
-def whole_space(space: FiniteProductSpace) -> Event:
-    return Event(space, 0, np.array([True]))
-
-
 def rectangle(space: FiniteProductSpace, allowed: Mapping[str, Iterable[str]]) -> Event:
     """Conjunction of per-component membership constraints."""
     items = sorted((space.index_of(n), set(v)) for n, v in allowed.items())
@@ -497,8 +493,6 @@ def rectangle(space: FiniteProductSpace, allowed: Mapping[str, Iterable[str]]) -
         if unknown:
             raise DomainError(f"component {space.components[t][0]!r} has no outcomes {sorted(unknown)}")
         parts.append((1 << t, np.array([o in labels for o in outs], dtype=np.float64)))
-    if mask == 0:
-        return whole_space(space)
     flags = product_weights(space, parts, mask) > 0.5
     return Event(space, mask, flags)
 

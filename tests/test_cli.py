@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from causalspaces import measure
+from causalspaces import cli, measure
 from causalspaces.cli import main
 from causalspaces.compilers import PoSpec, compile_scm, truncated_factorization_oracle
 from causalspaces.documents import (
@@ -194,6 +194,28 @@ def test_do_on_nothing_echoes_the_observational_measure(runner, xor_space_path):
     assert result.exit_code == 0
     doc = read_document(xor_space_path)
     assert json.loads(result.output)["p_do"] == doc["p"]
+
+
+def test_do_binds_q_through_the_subset_kernel(runner, xor_space_path, monkeypatch):
+    # do prints q bound through K_U and rewrites no mechanism to get it
+    def rewrite(*args):
+        raise AssertionError("do rewrote the mechanism")
+
+    for name in ("intervene", "intervene_hard", "trivial_internal"):
+        monkeypatch.setattr(cli, name, rewrite)
+    cs = document_to_space(read_document(xor_space_path))
+    space = cs.space
+    cases = [
+        (["--on", "X", "--dirac", "1"], measure.Dist(space, 1, [0.0, 1.0])),
+        (["--on", "X,Y", "--q", "0.1,0.2,0.3,0.4"], measure.Dist(space, 3, [0.1, 0.2, 0.3, 0.4])),
+        (["--on", "Y", "--q", "0.25,0.75", "--hard"], measure.Dist(space, 2, [0.25, 0.75])),
+        (["--on", ""], None),
+    ]
+    for flags, q in cases:
+        result = runner.invoke(main, ["do", xor_space_path, *flags])
+        assert result.exit_code == 0, (flags, result.output)
+        want = cs.observational if q is None else measure.bind(q, cs.mechanism[q.domain])
+        assert json.loads(result.output)["p_do"] == want.weights.tolist(), flags
 
 
 def test_do_flag_problems_exit_2(runner, xor_space_path):

@@ -455,6 +455,55 @@ def test_inconsistent_kernels_are_flagged():
     assert abs(res.estimate - truth) > 0.1
 
 
+def _two_variable_scm(x_noise, y_noise, y_fn):
+    """X is its noise; Y = y_fn(X, its noise)."""
+    return compile_scm(
+        scm_from_functions(
+            [ScmVariable("X", B), ScmVariable("Y", B)],
+            [x_noise, y_noise],
+            [(), (0,)],
+            [lambda pa, n: n, y_fn],
+        )
+    )
+
+
+def test_adjustment_refuses_to_trust_mass_on_null_atoms():
+    # Y := X, so do(Y) puts mass on (X, Y) pairs that never occur
+    cs = _two_variable_scm(COIN, NoiseTerm(("keep",), (1.0,)), lambda pa, n: pa["X"])
+    space = cs.space
+    u, v = space.mask_of(["Y"]), space.mask_of(["X"])
+    q = Dist(space, u, np.array([0.5, 0.5]))
+    y1 = rectangle(space, {"Y": ["1"]})
+    assert float(bind(q, cs.mechanism[u]).weights @ y1.indicator()) == pytest.approx(0.5)
+    res = adjustment_estimate(cs, u, v, q, y1)
+    assert res.estimate == pytest.approx(0.25, abs=1e-12)
+    assert (res.case, res.trusted) == ("no-effect", False)
+    assert res.notes == (
+        "interventional mass sits on observationally null atoms",
+        "event conditional undefined on a needed null atom",
+    )
+
+
+def test_adjustment_refuses_a_source_conditional_on_a_null_atom():
+    # X is always 0, so the conditional given X = 1 is undefined
+    cs = _two_variable_scm(
+        NoiseTerm(("0",), (1.0,)), NoiseTerm(("keep", "flip"), (0.8, 0.2)),
+        lambda pa, n: pa["X"] if n == "keep" else ("1" if pa["X"] == "0" else "0"),
+    )
+    space = cs.space
+    u = space.mask_of(["X"])
+    q = Dist(space, u, np.array([0.5, 0.5]))
+    y1 = rectangle(space, {"Y": ["1"]})
+    assert float(bind(q, cs.mechanism[u]).weights @ y1.indicator()) == pytest.approx(0.5)
+    res = adjustment_estimate(cs, u, 0, q, y1)
+    assert res.estimate == pytest.approx(0.1, abs=1e-12)
+    assert (res.case, res.trusted) == ("local-source", False)
+    assert res.notes == (
+        "interventional mass sits on observationally null atoms",
+        "conditional over V undefined on a needed null atom",
+    )
+
+
 def test_trusted_estimates_match_the_kernel_path():
     trusted_seen = 0
     for seed in range(120):

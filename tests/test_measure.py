@@ -464,6 +464,12 @@ def test_rectangle_and_conjunction():
         M.rectangle(sp, {"A": {"nope"}})
 
 
+def test_rectangle_without_constraints_is_the_whole_space():
+    ev = M.rectangle(grid22(), {})
+    assert ev.domain == 0
+    np.testing.assert_array_equal(ev.flags, [True])
+
+
 def test_condition_requires_subset_domain():
     sp = grid22()
     d = M.Dist(sp, 0b01, [0.5, 0.5])
