@@ -22,6 +22,12 @@ contiguous bytes of its law and of its dense matrix. The families:
   random_space      20 random_causal_space configurations
   validation        the validation report of every space above, and of each
                     random space with one kernel row leaking off its fiber
+  effects           on the models at n = 3..9, the verdicts of
+                    classify_effect, has_no_effect_given and
+                    classify_effect_on_subset for U in {X0}, {X0,X1},
+                    {X0,X2}, {last}, and activate_dormant's witness (the
+                    intervened subset, atom, activated subset and the bytes
+                    of the measure after) wherever an effect is dormant
 """
 
 from __future__ import annotations
@@ -57,12 +63,19 @@ def main() -> None:
         trivial_internal,
         validate_causal_space,
     )
-    from causalspaces.measure import Dist, FiniteProductSpace, Kernel
+    from causalspaces.effects import (
+        EffectClass,
+        activate_dormant,
+        classify_effect,
+        classify_effect_on_subset,
+        has_no_effect_given,
+    )
+    from causalspaces.measure import Dist, Event, FiniteProductSpace, Kernel
 
     start = time.perf_counter()
     digests = {name: hashlib.sha256() for name in (
         "compile_scm", "intervene_hard", "intervene", "trivial_internal", "conditionals",
-        "compile_po", "fixtures", "random_space", "validation",
+        "compile_po", "fixtures", "random_space", "validation", "effects",
     )}
 
     def add(family: str, cs) -> None:
@@ -73,6 +86,21 @@ def main() -> None:
             h.update(np.ascontiguousarray(k.matrix).tobytes())
         digests["validation"].update(repr(validate_causal_space(cs)).encode())
 
+    def add_effects(cs) -> None:
+        h = digests["effects"]
+        space, last = cs.space, cs.space.n - 1
+        events = [Event(space, 1 << t, [False, True]) for t in (2, last)]
+        for u in [space.mask_of(names) for names in INTERVENED] + [1 << last]:
+            for a in events:
+                effect = classify_effect(cs, u, a)
+                h.update(repr((u, a.domain, effect.value, has_no_effect_given(cs, u, 0b10, a))).encode())
+                if effect is EffectClass.DORMANT:
+                    w = activate_dormant(cs, u, a)
+                    h.update(repr((w.intervened, w.atom, w.activated)).encode())
+                    h.update(np.ascontiguousarray(w.after.observational.weights).tobytes())
+            for v in (1 << last, 0b110, space.full & ~u):
+                h.update(repr((u, v, classify_effect_on_subset(cs, u, v).value)).encode())
+
     makers = (models.xor_chain, models.random_dag, models.parity_with_fillers)
     for f, make in enumerate(makers):
         for n in range(3, 11):
@@ -80,6 +108,7 @@ def main() -> None:
             add("compile_scm", cs)
             if n == 10:
                 continue
+            add_effects(cs)
             rng = np.random.default_rng([SEED, f, n, 1])
             for names in INTERVENED:
                 u = cs.space.mask_of(names)

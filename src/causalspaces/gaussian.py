@@ -194,9 +194,12 @@ class GaussianSpace:
     def observational(self) -> Gaussian:
         return Gaussian(self.mean, self.cov)
 
-    def kernel(self, mask: int) -> GaussianKernel:
+    def _check_mask(self, mask: int) -> None:
         if not 0 <= mask <= self.full:
             raise DomainError(f"mask {mask:#b} outside this {self.n}-coordinate space")
+
+    def kernel(self, mask: int) -> GaussianKernel:
+        self._check_mask(mask)
         if mask == 0:
             return GaussianKernel(0, np.zeros((self.n, 0)), self.mean, self.cov)
         if mask == self.full:
@@ -206,6 +209,8 @@ class GaussianSpace:
         k = None if self.kernel_of is None else self.kernel_of(mask)
         if k is None:
             raise DomainError(f"no kernel stored for subset {mask:#b}")
+        if k.source != mask or k.n != self.n:
+            raise DomainError(f"kernel for subset {mask:#b} has source {k.source:#b} over {k.n} coordinates")
         return k
 
 
@@ -221,6 +226,7 @@ def g_intervene(gs: GaussianSpace, u: int, q: Gaussian | np.ndarray) -> Gaussian
 
 def _schur(gs: GaussianSpace, u: int):
     """Gain, intercept and residual covariance of the rest given the block."""
+    gs._check_mask(u)
     idx_s = list(subsets.indices_of(u))
     idx_r = [t for t in range(gs.n) if t not in idx_s]
     ss = gs.cov[np.ix_(idx_s, idx_s)]

@@ -3,19 +3,22 @@
 A space is an ordered product of named finite components. Atoms of the
 sub-product over a component subset S are indexed row-major with component
 index ascending, so every object below is a flat numpy array plus the subset
-mask it lives on. Measures and events are dense over their sub-product. A
-probability kernel from S is stored as its law: a (S atom x complement atom)
-table, since every row of a causal kernel is the point mass at its own
-S-atom times a law on the other components, and Kernel(law=...) is the
-one way a law becomes a kernel. That is 8 * n_atoms bytes per kernel
-whatever S is, and 8 * n_atoms * 2^n for a mechanism; the dense
-(S atom x full atom) rows are a view derived on demand. Every sum over
-fibers (a marginal, a kernel's row marginals on a subset, the masses of a
-conditional) is one fiber_sums call, a bincount over labels read off the
-cached projection tables. The package trades memory for exhaustive,
-loop-free semantics, and the one size rule, check_fits, refuses what
-physical memory cannot hold (CapError); a space asks it for its laws,
-their cell tables and SUBSET_BYTES of objects per subset.
+mask it lives on. Every index table (projections, embeddings, law cells,
+coordinates) is read off one atom grid, arange(n_atoms_of(S)) shaped by
+shape_of(S), which refuses a mask outside the space (DomainError).
+Measures and events are dense over their sub-product. A probability kernel
+from S is stored as its law: a (S atom x complement atom) table, since
+every row of a causal kernel is the point mass at its own S-atom times a
+law on the other components, and Kernel(law=...) is the one way a law
+becomes a kernel. That is 8 * n_atoms bytes per kernel whatever S is, and
+8 * n_atoms * 2^n for a mechanism; the dense (S atom x full atom) rows are
+a view derived on demand. Every sum over fibers (a marginal, a kernel's
+row marginals on a subset, the masses of a conditional) is one fiber_sums
+call, a bincount over labels read off the cached projection tables. The
+package trades memory for exhaustive, loop-free semantics, and the one
+size rule, check_fits, refuses what physical memory cannot hold
+(CapError); a space asks it for its laws, their cell tables and
+SUBSET_BYTES of objects per subset.
 """
 
 from __future__ import annotations
@@ -116,6 +119,11 @@ class FiniteProductSpace:
         self._check_mask(mask)
         return math.prod(len(self.components[t][1]) for t in subsets.bits(mask))
 
+    def shape_of(self, mask: int) -> tuple[int, ...]:
+        """Outcome counts of mask's components, ascending: the shape of its atom grid."""
+        self._check_mask(mask)
+        return tuple(len(self.components[t][1]) for t in subsets.bits(mask))
+
     def index_of(self, name: str) -> int:
         for t, (n, _) in enumerate(self.components):
             if n == name:
@@ -143,89 +151,77 @@ class FiniteProductSpace:
         if not 0 <= index < n:
             raise DomainError(f"atom {index} outside the {n} atoms over mask {mask:#b}")
 
-    def _strides(self, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(sizes, strides) over mask's components, ascending index, row-major."""
-        idx = subsets.indices_of(mask)
-        sizes = tuple(len(self.components[t][1]) for t in idx)
-        strides = []
-        acc = 1
-        for s in reversed(sizes):
-            strides.append(acc)
-            acc *= s
-        return sizes, tuple(reversed(strides))
+    def _grid(self, mask: int) -> np.ndarray:
+        """Every atom of mask's sub-product at its coordinates: the atom grid."""
+        shape = self.shape_of(mask)
+        return np.arange(math.prod(shape), dtype=np.intp).reshape(shape)
 
-    def _recode(self, src: int, comps: int, stride_mask: int) -> np.ndarray:
-        """For each atom of src, sum coord(t) * stride_mask-stride(t) over t in comps.
+    def _shape_in(self, part: int, into: int) -> list[int]:
+        """into's grid shape with every axis outside part cut to length 1."""
+        if not subsets.is_subset(part, into):
+            raise DomainError(f"mask {part:#b} is not inside mask {into:#b}")
+        return [s if part >> t & 1 else 1 for t, s in zip(subsets.bits(into), self.shape_of(into))]
 
-        comps must be contained in both src and stride_mask. Projection is
-        (src, dst, dst); embedding of a part into a superset is (part, part, sup).
+    def atom_projection(self, src: int, dst: int) -> np.ndarray:
+        """Map flat atoms of the src sub-product onto the dst one (dst inside src).
+
+        dst's grid broadcast over src's other axes, raveled, and cached.
         """
-        key = (src, comps, stride_mask)
+        key = (src, dst)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        if not (subsets.is_subset(comps, src) and subsets.is_subset(comps, stride_mask)):
-            raise DomainError("component selection must be inside both masks")
-        src_idx = subsets.indices_of(src)
-        src_sizes, src_strides = self._strides(src)
-        _, dst_strides = self._strides(stride_mask)
-        dst_pos = {t: k for k, t in enumerate(subsets.indices_of(stride_mask))}
-        flats = np.arange(self.n_atoms_of(src), dtype=np.intp)
-        out = np.zeros_like(flats)
-        for k, t in enumerate(src_idx):
-            if comps & (1 << t):
-                coord = (flats // src_strides[k]) % src_sizes[k]
-                out += coord * dst_strides[dst_pos[t]]
+        grid = self._grid(dst).reshape(self._shape_in(dst, src))
+        out = np.broadcast_to(grid, self.shape_of(src)).ravel()
         out.setflags(write=False)
         self._cache[key] = out
         return out
 
-    def atom_projection(self, src: int, dst: int) -> np.ndarray:
-        """Map flat atoms of the src sub-product onto the dst one (dst inside src)."""
-        return self._recode(src, dst, dst)
-
     def atom_embedding(self, part: int, into: int) -> np.ndarray:
         """Flat-index contribution of a part's atoms inside a superset product.
 
-        For disjoint parts A, B with A | B = into, the into-flat index of the
+        into's grid with the axes outside part pinned at 0, raveled. For
+        disjoint parts A, B with A | B = into, the into-flat index of the
         combined atom is atom_embedding(A, into)[i] + atom_embedding(B, into)[j].
         """
-        return self._recode(part, part, into)
+        pinned = tuple(slice(s) for s in self._shape_in(part, into))
+        return self._grid(into)[pinned].ravel()
 
     def law_cells(self, source: int) -> np.ndarray:
         """Full atom at each cell of a (source atom x complement atom) table.
 
         Full atoms are row-major over all components, so moving the source's
-        axes to the front and flattening each group gives the table. Cached
-        like the projection tables: n_atoms indices per source, which the
-        size rule counts beside the laws.
+        axes to the front of the full atom grid and flattening each group
+        gives the table. Cached like the projection tables: n_atoms indices
+        per source, which the size rule counts beside the laws.
         """
         key = ("law", source)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
+        n_rows = self.n_atoms_of(source)
         axes = subsets.indices_of(source) + subsets.indices_of(self.full & ~source)
         flat = np.arange(self.n_atoms, dtype=np.intp).reshape(self.sizes).transpose(axes)
-        out = flat.reshape(self.n_atoms_of(source), -1)
+        out = flat.reshape(n_rows, -1)
         out.setflags(write=False)
         self._cache[key] = out
         return out
 
     def coords_of(self, mask: int, index: int) -> tuple[int, ...]:
         self._check_atom(mask, index)
-        sizes, strides = self._strides(mask)
-        return tuple((index // st) % sz for sz, st in zip(sizes, strides))
+        return tuple(int(c) for c in np.unravel_index(index, self.shape_of(mask)))
 
     def flat_of(self, mask: int, coords: Iterable[int]) -> int:
-        sizes, strides = self._strides(mask)
+        """Row-major flat index of coords over mask's grid, by Horner's rule."""
+        shape = self.shape_of(mask)
         coords = tuple(coords)
-        if len(coords) != len(sizes):
+        if len(coords) != len(shape):
             raise DomainError("coordinate count does not match mask")
         out = 0
-        for c, sz, st in zip(coords, sizes, strides):
+        for c, sz in zip(coords, shape):
             if not 0 <= c < sz:
                 raise DomainError(f"coordinate {c} out of range for size {sz}")
-            out += c * st
+            out = out * sz + c
         return out
 
     def atom_from_labels(self, labels: Mapping[str, str]) -> "Atom":
@@ -394,7 +390,6 @@ def product_weights(
     Masks must be pairwise disjoint and union exactly to into. Raw array
     variant used wherever kernel rows are assembled factor by factor.
     """
-    idx = np.zeros(1, dtype=np.intp)
     w = np.ones(1)
     seen = 0
     for mask, pw in parts:
@@ -403,14 +398,10 @@ def product_weights(
         seen |= mask
         if mask == 0:
             continue
-        emb = space.atom_embedding(mask, into)
-        idx = (idx[:, None] + emb[None, :]).reshape(-1)
-        w = (w[:, None] * np.asarray(pw, dtype=np.float64)[None, :]).reshape(-1)
+        w = w * np.asarray(pw, dtype=np.float64).reshape(space._shape_in(mask, into))
     if seen != into:
         raise DomainError("product factors must cover the target mask")
-    out = np.zeros(space.n_atoms_of(into))
-    out[idx] = w
-    return out
+    return w.reshape(-1)
 
 
 def product_dist(a: Dist, b: Dist) -> Dist:
@@ -472,9 +463,8 @@ class Event:
         mask = self.domain
         flags = self.flags
         for t in subsets.indices_of(self.domain):
-            sizes, _ = self.space._strides(mask)
             axis = subsets.indices_of(mask).index(t)
-            shaped = flags.reshape(sizes)
+            shaped = flags.reshape(self.space.shape_of(mask))
             first = np.take(shaped, 0, axis=axis)
             if np.all(shaped == np.expand_dims(first, axis)):
                 mask &= ~(1 << t)

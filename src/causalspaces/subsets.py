@@ -19,6 +19,8 @@ def full_mask(n: int) -> int:
 
 def bits(mask: int) -> Iterator[int]:
     """Yield the component indices in mask in ascending order."""
+    if mask < 0:
+        raise DomainError(f"negative mask {mask}")
     t = 0
     while mask:
         if mask & 1:

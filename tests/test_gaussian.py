@@ -127,6 +127,36 @@ def test_space_leaves_its_callers_kernels_unchanged():
     assert stored == {0b01: k}
 
 
+def test_space_refuses_a_kernel_of_another_subset_or_size():
+    at = altitude_temperature()
+    # unchecked, the temperature kernel asked for as altitude's reads altitude
+    # as temperature: mean (1000, 1000) for altitude pinned at 1000
+    swapped = GaussianSpace(at.names, at.mean, at.cov, lambda mask: at.kernel(mask ^ 0b11))
+    with pytest.raises(DomainError, match="source 0b10"):
+        g_intervene(swapped, 0b01, [1000.0])
+    # unchecked, a 3-coordinate kernel gives a 3-coordinate mean, [5, 5, 5]
+    wide = GaussianKernel(0b01, np.ones((3, 1)), np.zeros(3), np.zeros((3, 3)))
+    three = GaussianSpace(at.names, at.mean, at.cov, lambda mask: wide)
+    with pytest.raises(DomainError, match="over 3 coordinates"):
+        g_intervene(three, 0b01, [5.0])
+
+
+MASKS_OUTSIDE = {
+    "condition": lambda at: g_condition(at, 0b100, [1.0]),
+    "conditional-kernel": lambda at: conditional_gaussian_kernel(at, 0b110),
+    "condition-negative": lambda at: g_condition(at, -1, [1.0]),
+    "kernel-negative": lambda at: at.kernel(-1),
+    "kernel-source-negative": lambda at: GaussianKernel(-1, np.ones((2, 1)), np.zeros(2), np.zeros((2, 2))),
+}
+
+
+@pytest.mark.parametrize("case", list(MASKS_OUTSIDE))
+def test_masks_outside_the_space_are_a_domain_error(case):
+    # a negative mask has infinitely many bits, so it must be refused before any loop
+    with pytest.raises(DomainError):
+        MASKS_OUTSIDE[case](altitude_temperature())
+
+
 def test_brownian_grid_builds_each_kernel_once():
     bg = brownian_grid(10, 1.0)
     assert bg.kernel(0b1010) is bg.kernel(0b1010)

@@ -1,9 +1,9 @@
-"""The paper's identities on the benchmark's model families at n = 6..8.
+"""The paper's identities on the benchmark's model families at n = 6..10.
 
 The theorem pool in theorem_checks stops at four components. Here the
 binary XOR chains, random DAGs and parity-with-filler models that perfbench
-runs are compiled at six to eight variables, and three identities are
-checked on each:
+runs are compiled at six to ten variables, and these identities are
+checked:
 
   * each row of every compiled kernel is truncated_factorization_oracle
     clamped at that row's atom (the independent plain-Python oracle) to 2n
@@ -16,7 +16,10 @@ checked on each:
   * U's effect on the algebra of V (classify_effect_on_subset, which reads
     every row's marginal on V) is the strongest of its effects on V's atom
     events (classify_effect, one event at a time), on these models at
-    n = 7, 8 and on random_causal_space.
+    n = 7, 8 and on random_causal_space;
+  * at n = 9 and 10, two verdicts that the model's graph fixes without
+    reading a kernel: no effect from outside the event's ancestral closure,
+    and a global source at every U that holds its own ancestors.
 """
 
 import sys
@@ -27,7 +30,8 @@ import pytest
 
 from causalspaces.compilers import compile_scm, truncated_factorization_oracle
 from causalspaces.core import InterventionSpec, intervene, intervene_hard, trivial_internal, validate_causal_space
-from causalspaces.effects import EffectClass, classify_effect, classify_effect_on_subset
+from causalspaces import effects
+from causalspaces.effects import EffectClass, classify_effect, classify_effect_on_subset, is_global_source
 from causalspaces.harness import KERNEL_STYLES, RandomSpaceConfig, random_causal_space
 from causalspaces.measure import Atom, Dist, Event
 
@@ -124,3 +128,80 @@ def test_subset_effect_is_the_strongest_atom_effect_on_random_spaces(style):
         for _ in range(4):
             u, v = (int(x) for x in rng.integers(0, cs.space.full + 1, size=2))
             assert classify_effect_on_subset(cs, u, v) is _strongest_on_atoms(cs, u, v), (style, seed, u, v)
+
+
+def _ancestral_closure(s, mask):
+    """mask and every ancestor of its variables (parents come first in the model)."""
+    for j in reversed(range(len(s.parents))):
+        if mask >> j & 1:
+            for p in s.parents[j]:
+                mask |= 1 << p
+    return mask
+
+
+def _outside_closure_cases(s, fam, n):
+    """(event variable, U) mask pairs with U outside the variable's ancestral closure.
+
+    A random U almost always meets the closure, so each event on one early
+    variable is paired with all of the rest, its lowest variable and a
+    seeded subset of it.
+    """
+    full = (1 << n) - 1
+    rng = np.random.default_rng([19, n, list(FAMILIES).index(fam)])
+    cases = []
+    for v in sorted({0, 2, *rng.integers(n, size=2).tolist()}):
+        rest = full & ~_ancestral_closure(s, 1 << v)
+        seeded = rest & int(rng.integers(1, full + 1)) or rest
+        cases += [(1 << v, u) for u in sorted({rest, rest & -rest, seeded} - {0})]
+    return cases
+
+
+def _none_misses(cs, cases):
+    """The cases where classify_effect does not call U's effect on {X_v = 1} NONE."""
+    events = ((Event(cs.space, v, [False, True]), u) for v, u in cases)
+    return [(a.domain, u, got) for a, u in events if (got := classify_effect(cs, u, a)) is not EffectClass.NONE]
+
+
+ORACLE_MODELS = [(fam, n) for n in (9, 10) for fam in FAMILIES]
+
+
+@pytest.mark.parametrize("fam,n", ORACLE_MODELS, ids=[f"{f}{n}" for f, n in ORACLE_MODELS])
+def test_effect_verdicts_agree_with_the_graph(fam, n):
+    """Two verdicts that the model's graph fixes without reading a kernel.
+
+    Let D* be the event's domain and all its ancestors. K_S(w, A) depends on
+    w only through S meet D*, so a U that misses D* has no effect on A. A U
+    that holds all its own ancestors is a global source: summing out the
+    other variables in reverse topological order leaves
+    P(x_rest | x_U) = prod_{t not in U} P(x_t | pa_t), which is K_U's law.
+    Both checks are one-sided. They catch a scan that reports an effect it
+    should not (see the mutant below), but not a missed effect: a U inside
+    D* may still have none, since parity can cancel a path.
+    """
+    s = _model(fam, n)
+    cs = compile_scm(s)
+    cases = _outside_closure_cases(s, fam, n)
+    misses = _none_misses(cs, cases)
+    assert cases and not misses, (fam, n, misses)
+    rng = np.random.default_rng([23, n, list(FAMILIES).index(fam)])
+    for picks in ([n // 2], [2], rng.choice(n, size=2, replace=False).tolist()):
+        u = _ancestral_closure(s, sum(1 << t for t in picks))
+        assert is_global_source(cs, u), (fam, n, u)
+
+
+def test_the_graph_check_catches_a_scan_that_reports_a_false_effect(monkeypatch):
+    # the scan with its projection dropped: row i of K_big meets row
+    # i mod |small| of K_small, so unrelated rows are compared
+    def misaligned(cs, pairs, read, tol):
+        for big, small in pairs:
+            vb, vs = read(cs.mechanism[big]), read(cs.mechanism[small])
+            if np.abs(vb - vs[np.arange(len(vb)) % len(vs)]).max() > tol:
+                return big, 0
+        return None
+
+    s = _model("chain", 9)
+    cs = compile_scm(s)
+    cases = _outside_closure_cases(s, "chain", 9)
+    assert not _none_misses(cs, cases)
+    monkeypatch.setattr(effects, "_first_disagreement", misaligned)
+    assert _none_misses(cs, cases)

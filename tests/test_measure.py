@@ -373,6 +373,54 @@ def test_subspace_preserves_order():
     assert sub.n_atoms == sp.n_atoms_of(0b101)
 
 
+def test_index_tables_read_each_atom_at_its_coordinates():
+    sp = M.FiniteProductSpace((("X", ("a", "b")), ("Y", ("0", "1", "2")), ("Z", ("u", "v"))))
+    assert sp.shape_of(0b101) == (2, 2) and sp.shape_of(0) == ()
+    for src in subsets.all_masks(3):
+        idx = subsets.indices_of(src)
+        coords = [sp.coords_of(src, i) for i in range(sp.n_atoms_of(src))]
+        for dst in subsets.all_masks(3):
+            if not subsets.is_subset(dst, src):
+                continue
+            keep = [k for k, t in enumerate(idx) if dst >> t & 1]
+            want = [sp.flat_of(dst, [c[k] for k in keep]) for c in coords]
+            assert sp.atom_projection(src, dst).tolist() == want
+            assert not sp.atom_projection(src, dst).flags.writeable
+            # each dst atom inside src, with src's other coordinates at 0
+            want = []
+            for j in range(sp.n_atoms_of(dst)):
+                part = iter(sp.coords_of(dst, j))
+                want.append(sp.flat_of(src, [next(part) if k in keep else 0 for k in range(len(idx))]))
+            assert sp.atom_embedding(dst, src).tolist() == want
+
+
+OUTSIDE_THE_SPACE = {
+    "shape_of": lambda sp: sp.shape_of(0b100),
+    "law_cells": lambda sp: sp.law_cells(0b100),
+    "atom_projection-src": lambda sp: sp.atom_projection(0b111, 0b1),
+    "atom_projection-dst": lambda sp: sp.atom_projection(0b11, 0b100),
+    "atom_embedding": lambda sp: sp.atom_embedding(0b1, 0b101),
+    "coords_of": lambda sp: sp.coords_of(0b100, 0),
+    "flat_of": lambda sp: sp.flat_of(0b100, [0]),
+    "indicator": lambda sp: M.Event(sp, 0b01, [True, False]).indicator(on=0b101),
+    "product_weights": lambda sp: M.product_weights(sp, [(0b100, [1.0])], 0b100),
+    "bits-negative": lambda sp: list(subsets.bits(-1)),
+    "shape_of-negative": lambda sp: sp.shape_of(-1),
+    "law_cells-negative": lambda sp: sp.law_cells(-1),
+    "atom_projection-negative": lambda sp: sp.atom_projection(-1, 0),
+    "atom_embedding-negative": lambda sp: sp.atom_embedding(0, -1),
+    "indicator-negative": lambda sp: M.Event(sp, 0b01, [True, False]).indicator(on=-1),
+}
+
+
+@pytest.mark.parametrize("case", list(OUTSIDE_THE_SPACE))
+def test_masks_outside_the_space_are_a_domain_error(case):
+    # every index table is built on a checked mask's atom grid; a negative
+    # mask has infinitely many bits, so it must be refused before any loop
+    with pytest.raises(DomainError):
+        OUTSIDE_THE_SPACE[case](grid23())
+
+
 # ------------------------------------------------------------ properties
 
 
