@@ -28,6 +28,15 @@ contiguous bytes of its law and of its dense matrix. The families:
                     {X0,X2}, {last}, and activate_dormant's witness (the
                     intervened subset, atom, activated subset and the bytes
                     of the measure after) wherever an effect is dormant
+  sources           the verdicts of is_source and is_global_source and
+                    adjustment_estimate's estimate bytes, trusted,
+                    consistent, case and notes: on the models at n = 3..7
+                    for U in {X0}, {X0,X1}, {X0,X2}, {last}, every event
+                    X_j = its last label and V in {}, {X_j}, the complement
+                    of U; on 30 random_causal_space configurations for
+                    every U and V at tol 0, 1e-12, 1e-9 and 1e-3; and on a
+                    two-variable model whose second variable copies a cause
+                    that is sure, 1e-10-rare or null
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ import numpy as np
 
 SEED = 2023
 INTERVENED = (("X0",), ("X0", "X1"), ("X0", "X2"))
+TOLS = (0.0, 1e-12, 1e-9, 1e-3)
 
 
 def main() -> None:
@@ -52,7 +62,7 @@ def main() -> None:
 
     import models
     from causalspaces import harness
-    from causalspaces.compilers import compile_po, compile_scm
+    from causalspaces.compilers import NoiseTerm, ScmSpec, ScmVariable, compile_po, compile_scm
     from causalspaces.core import (
         CausalMechanism,
         CausalSpace,
@@ -66,16 +76,19 @@ def main() -> None:
     from causalspaces.effects import (
         EffectClass,
         activate_dormant,
+        adjustment_estimate,
         classify_effect,
         classify_effect_on_subset,
         has_no_effect_given,
+        is_global_source,
+        is_source,
     )
-    from causalspaces.measure import Dist, Event, FiniteProductSpace, Kernel
+    from causalspaces.measure import NORM_TOL, Atom, Dist, Event, FiniteProductSpace, Kernel, dirac
 
     start = time.perf_counter()
     digests = {name: hashlib.sha256() for name in (
         "compile_scm", "intervene_hard", "intervene", "trivial_internal", "conditionals",
-        "compile_po", "fixtures", "random_space", "validation", "effects",
+        "compile_po", "fixtures", "random_space", "validation", "effects", "sources",
     )}
 
     def add(family: str, cs) -> None:
@@ -101,6 +114,20 @@ def main() -> None:
             for v in (1 << last, 0b110, space.full & ~u):
                 h.update(repr((u, v, classify_effect_on_subset(cs, u, v).value)).encode())
 
+    def last_label(space, t):
+        return Event(space, 1 << t, [i == space.sizes[t] - 1 for i in range(space.sizes[t])])
+
+    def add_sources(cs, u, q, events_vs, tol) -> None:
+        """Hash both source verdicts and each (event, V) adjustment."""
+        h = digests["sources"]
+        h.update(repr((u, tol, is_global_source(cs, u, tol))).encode())
+        for a, vs in events_vs:
+            h.update(repr((a.domain, is_source(cs, u, a, tol))).encode())
+            for v in vs:
+                r = adjustment_estimate(cs, u, v, q, a, tol)
+                h.update(np.float64(r.estimate).tobytes())
+                h.update(repr((v, r.trusted, r.consistent, r.case, r.notes)).encode())
+
     makers = (models.xor_chain, models.random_dag, models.parity_with_fillers)
     for f, make in enumerate(makers):
         for n in range(3, 11):
@@ -117,6 +144,47 @@ def main() -> None:
                 internal = trivial_internal(cs.space, u, q)
                 add("trivial_internal", internal)
                 add("intervene", intervene(cs, InterventionSpec(u, q, internal)))
+
+    for f, make in enumerate(makers):
+        for n in range(3, 8):
+            cs = compile_scm(make(np.random.default_rng([SEED, f, n]), n))
+            space = cs.space
+            rng = np.random.default_rng([SEED, f, n, 2])
+            for u in [space.mask_of(names) for names in INTERVENED] + [1 << (n - 1)]:
+                q = Dist(space, u, rng.dirichlet(np.ones(space.n_atoms_of(u))))
+                events_vs = [(last_label(space, j), (0, 1 << j, space.full & ~u)) for j in range(n)]
+                add_sources(cs, u, q, events_vs, NORM_TOL)
+
+    for seed in range(30):
+        cfg = harness.RandomSpaceConfig(
+            seed, n_components=1 + seed % 4, max_outcomes=2 + seed // 4 % 2,
+            kernel_style=harness.KERNEL_STYLES[seed % 3],
+        )
+        cs = harness.random_causal_space(cfg)
+        space = cs.space
+        rng = np.random.default_rng([SEED, 11, seed])
+        masks = range(space.full + 1)
+        events_vs = [(last_label(space, t), masks if t == space.n - 1 else ()) for t in range(space.n)]
+        for u in masks:
+            q = Dist(space, u, rng.dirichlet(np.ones(space.n_atoms_of(u))))
+            for tol in TOLS:
+                add_sources(cs, u, q, events_vs, tol)
+
+    # Y copies a cause C that is sure, 1e-10-rare or null
+    for rare in (1.0, 1e-10, 0.0):
+        copy = ScmSpec(
+            (ScmVariable("C", ("0", "1")), ScmVariable("Y", ("0", "1"))),
+            (NoiseTerm(("0", "1"), (1.0 - rare, rare)), NoiseTerm(("-",), (1.0,))),
+            ((), (0,)),
+            (np.array([[0, 1]]), np.array([[0], [1]])),
+        )
+        cs = compile_scm(copy)
+        space = cs.space
+        events_vs = [(last_label(space, t), range(4)) for t in range(2)]
+        for u in range(4):
+            for i in range(space.n_atoms_of(u)):
+                for tol in TOLS:
+                    add_sources(cs, u, dirac(space, Atom(u, i)), events_vs, tol)
 
     for seed in range(10):
         rng = np.random.default_rng([SEED, 7, seed])

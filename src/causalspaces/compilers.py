@@ -14,9 +14,10 @@ A potential-outcome setup carries a joint law over treatment, covariate and
 the per-treatment outcome vector. Only part of its causal content is
 determined: the observational measure, and the outcome part of the
 treatment kernel's rows. Everything else is filled with observational
-conditionals, and compile_po returns a specification mask saying which
-entries are substance and which are filler, so downstream checks can avoid
-asserting anything about the filler.
+conditionals (measure.completed_conditional, whose rows over null atoms
+hold the observational marginal on the complement), and compile_po returns
+a specification mask saying which entries are substance and which are
+filler, so downstream checks can avoid asserting anything about the filler.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ from .measure import (
     Dist,
     FiniteProductSpace,
     Kernel,
-    _conditional_table,
     _normalise,
     check_fits,
-    marginal,
+    completed_conditional,
 )
 
 
@@ -389,8 +389,9 @@ def compile_po(s: PoSpec) -> tuple[CausalSpace, PoSpecificationMask]:
         if mask == TREATMENT:
             kernels.append(treatment_kernel)
             continue
-        k, null_rows = _conditionals_with_completion(space, p_dist, mask)
+        k, masses = completed_conditional(p_dist, mask, NORM_TOL)
         kernels.append(k)
+        null_rows = np.nonzero(masses <= NORM_TOL)[0].tolist()
         filled.append(MaskEntry(subset=subsets.indices_of(mask), scope="observational-conditional"))
         if null_rows:
             filled.append(
@@ -403,19 +404,6 @@ def compile_po(s: PoSpec) -> tuple[CausalSpace, PoSpecificationMask]:
     cs = CausalSpace(space, p_dist, CausalMechanism(space, tuple(kernels)))
     mask_doc = PoSpecificationMask(space.names, tuple(mandated), tuple(filled))
     return cs, mask_doc
-
-
-def _conditionals_with_completion(
-    space: FiniteProductSpace, p: Dist, mask: int
-) -> tuple[Kernel, list[int]]:
-    """Conditional rows where defined, point-times-marginal elsewhere.
-
-    A null atom's row is its point mass times p's marginal on the complement.
-    """
-    law, masses = _conditional_table(space, mask, p.weights)
-    null = masses <= NORM_TOL
-    law[null] = marginal(p, space.full & ~mask).weights
-    return Kernel(space, mask, law=law), np.nonzero(null)[0].tolist()
 
 
 def ate(

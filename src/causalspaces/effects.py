@@ -21,9 +21,12 @@ the whole algebra of a subset V through Kernel.marginals, every row's
 
 Likewise every source question (is_source, is_global_source and the
 local-source case of adjustment_estimate) runs through one check,
-_source_check, which reads the U-kernel's law and p's conditional table on
-U (measure._conditional_table, adjustment_estimate's only conditional too)
-the same way: on one event, on V's atoms, or cell by cell.
+_source_check, which compares the U-kernel with p's conditional on U, built
+as a kernel by measure.completed_conditional, under the scan's own
+readers: Kernel.integrate on one event, Kernel.marginals on V's atoms, or
+Kernel.law cell by cell. adjustment_estimate reads P(A | U|V atom) under p
+and under the intervened measure the same way, with integrate on their
+conditional kernels.
 
 All scans quantify over every atom regardless of observational mass: a
 kernel disagreement supported only on null rows still blocks "no effect".
@@ -42,8 +45,7 @@ import numpy as np
 from . import subsets
 from .core import CausalSpace, intervene_hard
 from .errors import ContractError, DomainError, InternalInconsistencyError
-from .measure import NORM_TOL, Atom, Dist, Event, bind, check_tol, dirac, fiber_sums, marginal
-from .measure import _conditional_table
+from .measure import NORM_TOL, Atom, Dist, Event, bind, check_tol, completed_conditional, dirac, marginal
 
 
 class EffectClass(enum.Enum):
@@ -186,14 +188,14 @@ def is_time_respecting(
 def _source_check(cs: CausalSpace, u: int, read, tol: float):
     """Whether the U-kernel matches p's conditional on U under read.
 
-    read maps a law table (the U-kernel's or the conditional's) to values
-    per U atom. U atoms of observational mass at or below tol are skipped.
+    read maps a kernel (the U-kernel or the conditional) to values per U
+    atom. U atoms of observational mass at or below tol are skipped.
     Returns the verdict, the conditional's read, and the compared atoms.
     """
-    table, masses = _conditional_table(cs.space, u, cs.observational.weights)
-    conditional = read(table)
+    k, masses = completed_conditional(cs.observational, u, tol)
+    conditional = read(k)
     ok = masses > tol
-    diff = np.abs(read(cs.mechanism[u].law) - conditional)[ok]
+    diff = np.abs(read(cs.mechanism[u]) - conditional)[ok]
     return bool(diff.max(initial=0.0) <= tol), conditional, ok
 
 
@@ -205,14 +207,13 @@ def is_source(cs: CausalSpace, u: int, a: Event, tol: float = NORM_TOL) -> bool:
     """
     check_tol(tol)
     cs.space._check_mask(u)
-    ind = _check_event(cs, a)[cs.space.law_cells(u)]
-    return _source_check(cs, u, lambda law: np.einsum("wc,wc->w", law, ind), tol)[0]
+    return _source_check(cs, u, _event(cs, a)[0], tol)[0]
 
 
 def is_global_source(cs: CausalSpace, u: int, tol: float = NORM_TOL) -> bool:
     """Source of every event: rows equal conditionals on positive-mass atoms."""
     check_tol(tol)
-    return _source_check(cs, u, lambda law: law, tol)[0]
+    return _source_check(cs, u, lambda k: k.law, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -291,18 +292,13 @@ def adjustment_estimate(
     space._check_mask(v)
     if q.space != space or q.domain != u:
         raise DomainError("adjustment measure must live on the adjusted-for subset")
-    ind = _check_event(cs, a)
+    read, _ = _event(cs, a)
     notes: list[str] = []
-    p = cs.observational.weights
-    p_do = bind(q, cs.mechanism[u]).weights
-
     uv = u | v
-    on_a = ind[space.law_cells(uv)]
-    # P(A | atom of U|V) under each measure, from its conditional table
-    table_p, mass_p = _conditional_table(space, uv, p)
-    table_do, mass_do = _conditional_table(space, uv, p_do)
-    cond_p = np.einsum("wc,wc->w", table_p, on_a)
-    cond_do = np.einsum("wc,wc->w", table_do, on_a)
+    # P(A | atom of U|V) under each measure, from its conditional kernel
+    k_p, mass_p = completed_conditional(cs.observational, uv, tol)
+    k_do, mass_do = completed_conditional(bind(q, cs.mechanism[u]), uv, tol)
+    cond_p, cond_do = read(k_p), read(k_do)
     pos_do = mass_do > tol
     pos_p = mass_p > tol
     consistent = True
@@ -314,10 +310,7 @@ def adjustment_estimate(
         consistent = False
         notes.append("do-conditional disagrees with the observational conditional")
 
-    labels = space.atom_projection(space.full, v)[space.law_cells(u)]
-    local_source, given_u, ok_u = _source_check(
-        cs, u, lambda law: fiber_sums(law, labels, space.n_atoms_of(v)), tol
-    )
+    local_source, given_u, ok_u = _source_check(cs, u, lambda k: k.marginals(v), tol)
     if local_source:
         case = "local-source"
     elif classify_effect_on_subset(cs, u, v, tol) is EffectClass.NONE:

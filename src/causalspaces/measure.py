@@ -14,11 +14,13 @@ becomes a kernel. That is 8 * n_atoms bytes per kernel whatever S is, and
 8 * n_atoms * 2^n for a mechanism; the dense (S atom x full atom) rows are
 a view derived on demand. Every sum over fibers (a marginal, a kernel's
 row marginals on a subset, the masses of a conditional) is one fiber_sums
-call, a bincount over labels read off the cached projection tables. The
-package trades memory for exhaustive, loop-free semantics, and the one
-size rule, check_fits, refuses what physical memory cannot hold
-(CapError); a space asks it for its laws, their cell tables and
-SUBSET_BYTES of objects per subset.
+call, a bincount over labels read off the cached projection tables, and
+every conditional of a measure on a subset is one completed_conditional
+call: a kernel whose null rows the caller's threshold picks. The package
+trades memory for exhaustive, loop-free semantics, and the one size rule,
+check_fits, refuses what physical memory cannot hold (CapError); a space
+asks it for its laws, their cell tables and SUBSET_BYTES of objects per
+subset.
 """
 
 from __future__ import annotations
@@ -597,36 +599,39 @@ def bind(q: Dist, k: Kernel) -> Dist:
     return Dist(q.space, q.space.full, w)
 
 
-def _conditional_table(space: FiniteProductSpace, mask: int, w: np.ndarray):
-    """w conditioned on each atom of mask, as (mask atom x complement atom).
+def completed_conditional(d: Dist, mask: int, null: float) -> tuple[Kernel, np.ndarray]:
+    """d conditioned on each atom of mask, as a kernel, and the fiber masses.
 
-    Returns the table and the fiber masses. Every row of positive mass is
-    divided by it; the caller picks the mass below which a row is null, to
-    reject, complete or skip. A row of zero mass stays w's raw zeros.
+    Each row is the point mass at its atom times d's conditional law on the
+    complement, the one place a conditional law is built. A row whose fiber
+    mass is at or below null, where conditioning is a matter of convention,
+    holds d's marginal on the complement instead; callers read those rows
+    off the masses, to reject, record or skip them.
     """
-    table = w[space.law_cells(mask)]
-    masses = fiber_sums(w, space.atom_projection(space.full, mask), space.n_atoms_of(mask))
-    np.divide(table, masses[:, None], out=table, where=masses[:, None] > 0.0)
-    return table, masses
+    if d.domain != d.space.full:
+        raise DomainError("conditional kernel needs a full-space distribution")
+    space = d.space
+    law = d.weights[space.law_cells(mask)]
+    masses = fiber_sums(d.weights, space.atom_projection(space.full, mask), space.n_atoms_of(mask))
+    defined = masses > null
+    np.divide(law, masses[:, None], out=law, where=defined[:, None])
+    if not defined.all():
+        law[~defined] = marginal(d, space.full & ~mask).weights
+    return Kernel(space, mask, law=law), masses
 
 
 def conditional_kernel(d: Dist, mask: int) -> Kernel:
     """Kernel whose rows are d conditioned on each atom of the mask product.
 
-    Each row is the point mass at its atom times d's conditional law on the
-    complement, so the table from _conditional_table is the kernel's law.
-    Requires d on the full space with strictly positive mass on every fiber
+    Requires d on the full space with mass above NORM_TOL on every fiber
     (NullSetError otherwise); with that, bind(marginal(d, mask), result)
     reproduces d (law of total probability).
     """
-    if d.domain != d.space.full:
-        raise DomainError("conditional kernel needs a full-space distribution")
-    d.space._check_mask(mask)
-    law, masses = _conditional_table(d.space, mask, d.weights)
+    k, masses = completed_conditional(d, mask, NORM_TOL)
     if masses.min() <= NORM_TOL:
         bad = int(np.argmin(masses))
         raise NullSetError(f"fiber over atom {bad} of mask {mask:#b} has null mass")
-    return Kernel(d.space, mask, law=law)
+    return k
 
 
 def tv_distance(a: Dist, b: Dist) -> float:

@@ -300,6 +300,22 @@ def test_kernels_over_supersets_of_u_are_shared(path):
 # ------------------------------------------------------------- spec checks
 
 
+def test_mechanism_and_space_constructor_refusals():
+    cs = xor_space()
+    sp, kernels = cs.space, cs.mechanism.kernels
+    with pytest.raises(DomainError, match="mechanism needs 4 kernels, got 3"):
+        C.CausalMechanism(sp, kernels[:3])
+    swapped = (kernels[0], kernels[2], kernels[1], kernels[3])
+    with pytest.raises(DomainError, match="kernel at position 1 has source 2"):
+        C.CausalMechanism(sp, swapped)
+    with pytest.raises(DomainError, match="observational measure must live on the full space"):
+        C.CausalSpace(sp, M.Dist(sp, 0b01, [0.5, 0.5]), cs.mechanism)
+    other = M.FiniteProductSpace((("X", ("0", "1")), ("Z", ("0", "1"))))
+    p = M.Dist(other, other.full, cs.observational.weights)
+    with pytest.raises(DomainError, match="mechanism must live on the same space"):
+        C.CausalSpace(other, p, cs.mechanism)
+
+
 def test_spec_rejects_mismatched_measure():
     cs = xor_space()
     q = M.Dist(cs.space, 0b10, [0.5, 0.5])

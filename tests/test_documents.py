@@ -197,6 +197,17 @@ def test_space_document_schema_rejections():
         document_to_space(doc)
 
 
+def test_space_document_kernel_keys_must_match_the_subsets():
+    # the right count of keys, one of them wrong
+    doc = reparse(space_to_document(compile_scm(xor_scm())))
+    doc["kernels"]["9"] = doc["kernels"].pop("0,1")
+    with pytest.raises(
+        DocumentError,
+        match=r"^kernels must cover every subset exactly once \(missing \['0,1'\], unknown \['9'\]\)$",
+    ):
+        document_to_space(doc)
+
+
 @pytest.mark.parametrize("bad", [True, "0.5", None, [0.5]], ids=["bool", "str", "null", "nested"])
 def test_space_document_rejects_non_numbers(bad):
     good = reparse(space_to_document(compile_scm(xor_scm())))

@@ -7,7 +7,7 @@ import pytest
 
 from causalspaces import subsets
 from causalspaces.compilers import NoiseTerm, ScmVariable, compile_scm, scm_from_functions
-from causalspaces.core import validate_causal_space
+from causalspaces.core import CausalMechanism, CausalSpace, validate_causal_space
 from causalspaces.effects import (
     EffectClass,
     activate_dormant,
@@ -39,6 +39,7 @@ from causalspaces.measure import (
     Atom,
     Dist,
     Event,
+    Kernel,
     bind,
     condition,
     dirac,
@@ -443,6 +444,30 @@ def test_adjusting_over_part_of_the_intervened_subset():
     tcs = triangle()
     res = adjustment_estimate(tcs, t, t, Dist(tcs.space, t, np.array([0.3, 0.7])), y1)
     assert not res.consistent and not res.trusted
+
+
+def test_adjusting_inside_u_off_the_local_source_is_contained():
+    # scaling K_U's law by 1 + 1e-10 stays inside the constructor's window, so
+    # the kernel keeps it: its marginal on V inside U is then 1 + 1e-10, which
+    # fails the local-source check at tol 1e-12 but passes at the default
+    cs = random_causal_space(RandomSpaceConfig(seed=3, n_components=3))
+    space = cs.space
+    u, v = space.mask_of(["X0", "X1"]), space.mask_of(["X0"])
+    kernels = list(cs.mechanism.kernels)
+    kernels[u] = Kernel(space, u, law=cs.mechanism[u].law * (1 + 1e-10))
+    scaled = CausalSpace(space, cs.observational, CausalMechanism(space, tuple(kernels)))
+    q = Dist(space, u, np.random.default_rng(3).dirichlet(np.ones(space.n_atoms_of(u))))
+    a = rectangle(space, {"X2": ["1"]})
+    # V inside U: the weighting is q alone, against P(A | U atom)
+    want = sum(
+        q.weights[i] * a.probability(condition(cs.observational, Atom(u, i)))
+        for i in range(space.n_atoms_of(u))
+    )
+    res = adjustment_estimate(scaled, u, v, q, a, tol=1e-12)
+    assert res.case == "contained"
+    assert res.estimate == pytest.approx(want, abs=1e-12)
+    assert not res.consistent and not res.trusted  # the rows are perturbed conditionals
+    assert adjustment_estimate(scaled, u, v, q, a).case == "local-source"
 
 
 def test_inconsistent_kernels_are_flagged():

@@ -67,6 +67,23 @@ def test_conditional_kernel_oracle():
     np.testing.assert_allclose(k.matrix[0], [0.625, 0.375, 0.0, 0.0], atol=1e-15)
 
 
+def test_completed_conditional_oracle():
+    sp = grid22()
+    d = M.Dist(sp, 3, [0.5, 0.3, 0.1, 0.1])
+    # A=0 has mass .8, above null: renormalised fiber [.5,.3]/.8; A=1 has
+    # mass .2, at or below null: B's marginal [.6,.4] stands in
+    k, masses = M.completed_conditional(d, 0b01, 0.5)
+    np.testing.assert_allclose(masses, [0.8, 0.2], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(k.matrix, [[0.625, 0.375, 0.0, 0.0], [0.0, 0.0, 0.6, 0.4]], atol=1e-15)
+    # a null fiber is completed where conditional_kernel refuses it
+    d = M.Dist(sp, 3, [0.5, 0.5, 0.0, 0.0])
+    k, masses = M.completed_conditional(d, 0b01, 0.0)
+    assert np.array_equal(masses, [1.0, 0.0])
+    np.testing.assert_allclose(k.law, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+    with pytest.raises(DomainError, match="full-space"):
+        M.completed_conditional(M.Dist(sp, 0b01, [0.5, 0.5]), 0b01, 0.0)
+
+
 def test_dirac():
     sp = grid22()
     d = M.dirac(sp, M.Atom(3, 2))
@@ -138,6 +155,14 @@ def test_overflowing_totals_are_a_domain_error():
         M.Kernel(sp, 0b01, law=[[0.5, 0.5], [1e308, 1e308]])
     with pytest.raises(DomainError, match="kernel row 0 weights sum to inf"):
         M.Kernel(sp, 0b01, [[1e308, 0.0, 1e308, 0.0], [0.0, 0.5, 0.0, 0.5]])
+
+
+def test_space_constructor_refusals():
+    comps = [("A", ["0", "1"]), ("B", ["0", "1"])]
+    # lists are read as the tuple form
+    assert M.FiniteProductSpace(comps).components == grid22().components
+    with pytest.raises(DomainError, match="at least one component"):
+        M.FiniteProductSpace(())
 
 
 def test_normalisation_idempotent_bitwise():
@@ -466,6 +491,23 @@ def test_law_of_total_probability(data):
     np.testing.assert_allclose(back.weights, d.weights, atol=1e-9)
     rows = [M.condition(d, M.Atom(mask, i)).weights for i in range(space.n_atoms_of(mask))]
     np.testing.assert_allclose(k.matrix, np.stack(rows), rtol=0, atol=1e-15)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_completed_conditional_rows(data):
+    space, d = data.draw(space_and_dist(full_support=True))
+    mask = data.draw(st.integers(0, space.full))
+    fiber_masses = M.marginal(d, mask).weights
+    # null at one of the masses (or below all), so some rows fall at or below it
+    null = data.draw(st.sampled_from([0.0, *fiber_masses.tolist()]))
+    k, masses = M.completed_conditional(d, mask, null)
+    assert np.array_equal(masses, fiber_masses)
+    above = masses > null
+    assert np.array_equal(k.law[above], M.conditional_kernel(d, mask).law[above])
+    # the kernel whose every row is the marginal on the complement
+    completion = M.Kernel(space, mask, law=M.marginal(d, space.full & ~mask).weights)
+    assert np.array_equal(k.law[~above], completion.law[~above])
 
 
 @given(st.data())
